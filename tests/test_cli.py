@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,22 @@ import acawgn.cli as cli
 from acawgn import DiscreteInput
 from acawgn.cli import main, parse_grid
 from acawgn.scan import ScanRecord
+
+
+class TestColdImport:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize is imported lazily by the fixed-K step; loading it
+        # at import time would add about 40% to the CLI's cold start.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import acawgn.cli; "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, src],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestParseGrid:

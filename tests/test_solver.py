@@ -15,7 +15,6 @@ from acawgn import (
     solve_capacity,
     solve_fixed_k,
 )
-from acawgn.solver import _project_weighted_simplex
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
 
@@ -39,40 +38,6 @@ class TestDytsoLowerBound:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             dytso_lower_bound(-1.0)
-
-
-class TestWeightedSimplexProjection:
-    def test_kkt_conditions(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            n = int(rng.integers(1, 9))
-            p = rng.normal(0, 2, n)
-            c = rng.uniform(0.5, 3.0, n)
-            v = _project_weighted_simplex(p, c, total=1.0)
-            assert np.all(v >= 0)
-            assert np.dot(c, v) == pytest.approx(1.0, abs=1e-12)
-            # stationarity: p - v = lam * c on the active set, >= lam*c off it
-            active = v > 0
-            lam_vals = (p[active] - v[active]) / c[active]
-            assert np.ptp(lam_vals) <= 1e-10
-            if active.any() and (~active).any():
-                lam = lam_vals[0]
-                assert np.all(p[~active] / c[~active] <= lam + 1e-10)
-
-    def test_matches_plain_simplex(self):
-        # classic sort-based simplex projection as the reference for c = 1
-        def simplex_ref(v):
-            u = np.sort(v)[::-1]
-            css = np.cumsum(u)
-            rho = np.nonzero(u + (1.0 - css) / np.arange(1, v.size + 1) > 0)[0][-1]
-            lam = (1.0 - css[rho]) / (rho + 1.0)
-            return np.maximum(v + lam, 0.0)
-
-        rng = np.random.default_rng(23)
-        for _ in range(25):
-            p = rng.normal(0, 1.5, int(rng.integers(2, 10)))
-            ours = _project_weighted_simplex(p, np.ones_like(p), total=1.0)
-            assert np.allclose(ours, simplex_ref(p), atol=1e-12)
 
 
 def _fd_weight(pi, j, h, spec):
@@ -133,21 +98,66 @@ def _agree(a, b, rel=1e-5, abs_tol=1e-8):
 
 class TestSolveFixedK:
     def test_binary_small_amplitude(self):
-        pi, info, converged = solve_fixed_k(0.8, 2)
+        pi, info, converged, *_ = solve_fixed_k(0.8, 2)
         assert converged
         assert pi.locations == pytest.approx((-0.8, 0.8), abs=1e-6)
         assert pi.weights == pytest.approx((0.5, 0.5), abs=1e-7)
 
     def test_k3_collapses_to_binary(self):
-        pi2, info2, _ = solve_fixed_k(0.8, 2)
-        pi3, info3, _ = solve_fixed_k(0.8, 3)
+        pi2, info2, *_ = solve_fixed_k(0.8, 2)
+        pi3, info3, *_ = solve_fixed_k(0.8, 3)
         assert pi3.k == 2 or abs(info3 - info2) <= 1e-7
 
     def test_single_point_carries_nothing(self):
         for A in (0.5, 3.0):
-            pi, info, converged = solve_fixed_k(A, 1)
+            pi, info, converged, *_ = solve_fixed_k(A, 1)
             assert pi.k == 1
             assert abs(info) <= 1e-8
+
+    def test_slsqp_reaches_recorded_a8_optimum(self):
+        # the equispaced K = 9 start at A = 8; the value is the certified C(8)
+        pi, info, converged, *_ = solve_fixed_k(8.0, 9)
+        assert converged
+        assert pi.k == 9
+        assert abs(info - 1.5758716926530236) <= 1e-9
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_optimizer_output_is_feasible(self, symmetric):
+        # the raw SLSQP step, before solve_fixed_k renormalizes its weights
+        from dataclasses import replace
+
+        from acawgn.solver import _initial_param, _pg_maximize
+
+        A = 3.0
+        cfg = SolveConfig(symmetric=symmetric)
+        rng = np.random.default_rng(5)
+        for K in (4, 5):
+            start = _initial_param(A, K, symmetric)
+            (lo_x, hi_x) = start.bounds()[0]
+            perturbed = replace(
+                start,
+                x=np.clip(start.x + rng.uniform(-0.3, 0.3, start.x.shape), lo_x, hi_x),
+                v=start.v * rng.uniform(0.5, 1.5, start.v.shape),
+            )
+            for p0 in (start, perturbed):
+                p, info, _, _ = _pg_maximize(p0, cfg, [])
+                assert abs(np.dot(p.weight_constraint(), p.v) - 1.0) <= 1e-10
+                z = np.concatenate([p.x, p.v])
+                lo, hi = np.array(p.bounds()).T
+                assert np.all((lo <= z) & (z <= hi))
+                assert info > 0.0
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_result_is_feasible(self, symmetric):
+        A = 3.0
+        for K, seed in ((4, None), (5, 11)):
+            cfg = SolveConfig(symmetric=symmetric)
+            pi, info, *_ = solve_fixed_k(A, K, cfg, perturb_seed=seed)
+            locs, ws = pi.as_arrays()
+            assert np.all(np.abs(locs) <= A)
+            assert np.all(ws >= 0.0)
+            assert ws.sum() == pytest.approx(1.0, abs=1e-12)
+            assert info > 0.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -207,6 +217,34 @@ class TestSolveCapacity:
         assert again.input == rep.input
         assert again.capacity_nats == rep.capacity_nats
         assert again.history == rep.history
+
+    def test_history_records_optimizer_stop(self):
+        rep = solve_capacity(2.0)
+        step = rep.history[-1]
+        assert step.opt_iters >= 1
+        assert "success" in step.opt_status
+        d = step.to_dict()
+        assert d["opt_iters"] == step.opt_iters
+        assert d["opt_status"] == step.opt_status
+
+    def test_report_without_optimizer_fields_loads(self):
+        from acawgn.solver import SolveReport
+
+        d = solve_capacity(0.8).to_dict()
+        for h in d["history"]:
+            del h["opt_iters"], h["opt_status"]
+        again = SolveReport.from_dict(d)
+        assert all(h.opt_iters == 0 and h.opt_status == "" for h in again.history)
+
+    def test_report_history_ignores_unknown_keys(self):
+        from acawgn.solver import SolveReport
+
+        d = solve_capacity(0.8).to_dict()
+        for h in d["history"]:
+            h["note"] = "written by a newer version"
+            h["k_tried"] = float(h["k_tried"])
+        again = SolveReport.from_dict(d)
+        assert all(type(h.k_tried) is int for h in again.history)
 
     def test_max_k_exhaustion_flags_incomplete(self):
         rep = solve_capacity(5.0, SolveConfig(initial_k=2, max_k=2, max_iters=400))
