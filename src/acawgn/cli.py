@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from .certificates import certificate_report, closed_form_bound, closed_form_bound_log
 from .inputs import DiscreteInput
@@ -31,6 +32,7 @@ from .solver import dytso_lower_bound, solve_capacity
 
 QUAD_TOL_ENV = "ACAWGN_QUAD_TOL"
 DEFAULT_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+_SEED_HELP = "recorded in the report; solves draw no random numbers"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,7 +48,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _quad_spec() -> QuadratureSpec | None:
+def _quad_tol() -> float | None:
+    """The validated ``ACAWGN_QUAD_TOL`` value, or None when it is unset."""
     raw = os.environ.get(QUAD_TOL_ENV)
     if raw is None:
         return None
@@ -56,10 +59,15 @@ def _quad_spec() -> QuadratureSpec | None:
         raise CliError(f"{QUAD_TOL_ENV} must be a float, got {raw!r}") from exc
     if tol <= 0.0:
         raise CliError(f"{QUAD_TOL_ENV} must be positive, got {tol}")
-    return QuadratureSpec(abs_tol=tol)
+    return tol
 
 
-def _solve_config(args, quad: QuadratureSpec | None) -> SolveConfig:
+def _with_abs_tol(spec: QuadratureSpec, tol: float | None) -> QuadratureSpec:
+    """``spec`` with only its absolute tolerance overridden by ``tol``."""
+    return spec if tol is None else replace(spec, abs_tol=tol)
+
+
+def _solve_config(args, tol: float | None) -> SolveConfig:
     kwargs = {}
     if getattr(args, "eps", None) is not None:
         kwargs["kkt_eps"] = args.eps
@@ -67,9 +75,8 @@ def _solve_config(args, quad: QuadratureSpec | None) -> SolveConfig:
         kwargs["max_k"] = args.max_k
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
-    if quad is not None:
-        kwargs["quad"] = quad
-    return SolveConfig(**kwargs)
+    config = SolveConfig(**kwargs)
+    return replace(config, quad=_with_abs_tol(config.quad, tol))
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -133,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--amplitude", type=float, required=True)
     p_solve.add_argument("--eps", type=float, default=None, help="KKT epsilon (nats)")
     p_solve.add_argument("--max-k", type=int, default=None)
-    p_solve.add_argument("--seed", type=int, default=None)
+    p_solve.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p_solve.add_argument("--bits", action="store_true",
                          help="also report the capacity in bits")
     p_solve.add_argument("--out", default=None)
@@ -151,12 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "0.5,1,1.5,2,3,4,5,6,7,8)")
     p_scan.add_argument("--eps", type=float, default=None)
     p_scan.add_argument("--max-k", type=int, default=None)
-    p_scan.add_argument("--seed", type=int, default=None)
+    p_scan.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
     p_scan.add_argument("--columns", default=None,
                         help="comma list of columns for a gnuplot-ready "
                              "whitespace-separated extract")
-    p_scan.add_argument("--workers", type=int, default=1)
     p_scan.add_argument("--out", default=None)
 
     p_bounds = sub.add_parser("bounds", help="support and TV bounds at one amplitude")
@@ -168,16 +174,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", help="three-part TV split at B = A - sqrt(A)")
     p_probe.add_argument("--amplitude", type=float, required=True)
     p_probe.add_argument("--eps", type=float, default=None)
-    p_probe.add_argument("--seed", type=int, default=None)
+    p_probe.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p_probe.add_argument("--out", default=None)
 
     return parser
 
 
-def _cmd_solve(args, quad) -> int:
+def _cmd_solve(args, tol) -> int:
     if args.amplitude <= 0.0:
         raise CliError("--amplitude must be positive")
-    config = _solve_config(args, quad)
+    config = _solve_config(args, tol)
     report = solve_capacity(args.amplitude, config)
     payload = report.to_dict()
     if args.bits:
@@ -209,18 +215,18 @@ def _load_input(path: str) -> DiscreteInput:
     raise CliError(f"invalid input file {path}: no 'points' or 'input' field")
 
 
-def _cmd_certify(args, quad) -> int:
+def _cmd_certify(args, tol) -> int:
     pi = _load_input(args.input)
-    spec = quad if quad is not None else QuadratureSpec()
+    spec = _with_abs_tol(QuadratureSpec(), tol)
     report = certificate_report(pi, measure_tv=args.measure_tv, spec=spec)
     _emit(_json_text(report.to_dict()), args.out)
     return EXIT_OK
 
 
-def _cmd_scan(args, quad) -> int:
+def _cmd_scan(args, tol) -> int:
     grid = parse_grid(args.grid) if args.grid is not None else list(DEFAULT_GRID)
-    config = _solve_config(args, quad)
-    records = scan(grid, config, workers=max(1, args.workers))
+    config = _solve_config(args, tol)
+    records = scan(grid, config)
     if args.columns is not None:
         names = [c.strip() for c in args.columns.split(",") if c.strip()]
         unknown = [n for n in names if n not in CSV_COLUMNS]
@@ -243,7 +249,7 @@ def _cmd_scan(args, quad) -> int:
     return EXIT_OK
 
 
-def _cmd_bounds(args, quad) -> int:
+def _cmd_bounds(args, tol) -> int:
     if args.amplitude <= 0.0:
         raise CliError("--amplitude must be positive")
     if args.max_k < 1:
@@ -263,8 +269,8 @@ def _cmd_bounds(args, quad) -> int:
     return EXIT_OK
 
 
-def _cmd_probe(args, quad) -> int:
-    config = _solve_config(args, quad)
+def _cmd_probe(args, tol) -> int:
+    config = _solve_config(args, tol)
     report = solve_capacity(args.amplitude, config)
     left, middle, right = theorem2_probe(args.amplitude, config, solution=report.input)
     payload = {
@@ -294,8 +300,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        quad = _quad_spec()
-        return _COMMANDS[args.command](args, quad)
+        tol = _quad_tol()
+        return _COMMANDS[args.command](args, tol)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

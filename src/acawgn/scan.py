@@ -9,16 +9,13 @@ machine-readable tables (CSV with a fixed header, or JSON), log-log
 scaling-law fits of K_A against A, and a three-way split of the TV integral
 (tails / bulk) that mirrors how the bulk flatness controls the distance.
 
-Scans are deterministic given the solver seed; per-amplitude work shares no
-state, so records can be computed concurrently (``workers > 1``) and are
-always assembled in grid order.
+Scans are deterministic and solve the amplitudes in grid order.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,29 +184,23 @@ def _scan_one(A: float, config: SolveConfig) -> tuple[ScanRecord, SolveReport | 
 def scan_detailed(
     a_grid,
     config: SolveConfig | None = None,
-    workers: int = 1,
 ) -> tuple[list[ScanRecord], list[SolveReport | None]]:
     """Scan returning both the records and the full per-A solve reports.
 
     Individual-amplitude failures are recorded with status ``error`` and
-    never abort the scan.  Output order follows the grid regardless of
-    ``workers``.
+    never abort the scan.  Output order follows the grid.
     """
     grid = _validate_grid(a_grid)
     cfg = config or SolveConfig()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(lambda a: _scan_one(a, cfg), grid))
-    else:
-        pairs = [_scan_one(a, cfg) for a in grid]
+    pairs = [_scan_one(a, cfg) for a in grid]
     records = [p[0] for p in pairs]
     reports = [p[1] for p in pairs]
     return records, reports
 
 
-def scan(a_grid, config: SolveConfig | None = None, workers: int = 1) -> list[ScanRecord]:
+def scan(a_grid, config: SolveConfig | None = None) -> list[ScanRecord]:
     """One ScanRecord per grid amplitude; see :func:`scan_detailed`."""
-    records, _ = scan_detailed(a_grid, config, workers)
+    records, _ = scan_detailed(a_grid, config)
     return records
 
 

@@ -5,18 +5,17 @@ size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
 ``|X| <= A``.  Strategy:
 
 - fixed-support optimization (``solve_fixed_k``): one SLSQP call (Kraft,
-  DFVLR-FB 88-28, 1988) over atom locations (boxed to [-A, A]) and weights
-  (boxed to [0, 1], with total probability one as a linear equality); by
-  default the input is parametrized by its nonnegative half, since the
-  objective is symmetric;
+  DFVLR-FB 88-28, 1988) over the nonnegative half of a symmetric input (the
+  objective is symmetric): pair locations boxed to [0, A], weights boxed to
+  [0, 1], with total probability one as a linear equality;
 - support escalation (``solve_capacity``): starting at the ceiling of the
-  square-root support lower bound, raise K (by 2 in symmetric mode) until the
-  equalization/dominance residuals of ``kkt_residual`` pass the declared
-  epsilon; escalation warm-starts from the previous solution, so the achieved
-  information is nondecreasing along the history.
+  square-root support lower bound, raise K by 2 until the
+  equalization/dominance residuals of the KKT scan pass the declared
+  epsilon.  Each level is one ``solve_fixed_k`` call warm-started from the
+  previous level's input, with a zero-weight pair inserted where the scan
+  found the largest violation of i(x) <= I (a cutting-plane step).
 
-Everything is deterministic given the configured seed; solves for different
-amplitudes share no state and may run concurrently.
+A solve is deterministic: it draws no random numbers.
 """
 
 from __future__ import annotations
@@ -71,9 +70,8 @@ class SolveConfig:
     max_k: int = 40
     kkt_eps: float = 1e-6
     max_iters: int = 6000             # SLSQP maxiter per fixed-K run
-    symmetric: bool = True
+    # Recorded in the report (the CLI and JSON carry it); no solve reads it.
     seed: int = 0
-    restarts: int = 2                 # perturbed re-inits when KKT stalls
     quad: QuadratureSpec = field(default_factory=lambda: _SOLVER_QUAD)
 
     def __post_init__(self):
@@ -115,8 +113,8 @@ class EscalationStep:
     kkt_support: float
     kkt_global: float
     converged: bool
-    opt_iters: int = 0                # SLSQP iterations of the attempt used
-    opt_status: str = ""              # SLSQP's stop message for that attempt
+    opt_iters: int = 0                # SLSQP iterations at this level
+    opt_status: str = ""              # SLSQP's stop message at this level
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -197,9 +195,8 @@ def info_gradient(pi: DiscreteInput, spec: QuadratureSpec = _SOLVER_QUAD) -> Gra
 
 
 # ----------------------------------------------------------------------------
-# Internal parametrization: either the full atom vector or, in symmetric mode,
-# the nonnegative half (pair locations x in [0, A], pair weights, and an
-# optional center atom at 0 when K is odd).
+# Internal parametrization: the nonnegative half of a symmetric input (pair
+# locations x in [0, A], pair weights, and a center atom at 0 when K is odd).
 # ----------------------------------------------------------------------------
 
 
@@ -208,16 +205,12 @@ class _Param:
     """Optimizer state: raw coordinate vector plus the shape metadata."""
 
     A: float
-    symmetric: bool
-    has_center: bool      # symmetric mode only: atom pinned at 0
-    m: int                # number of (half-)locations
-    x: np.ndarray         # (m,) locations; in [0,A] if symmetric else [-A,A]
-    v: np.ndarray         # weights: (m + has_center,) if symmetric else (m,)
+    has_center: bool      # atom pinned at 0
+    x: np.ndarray         # (m,) pair locations in [0, A]
+    v: np.ndarray         # (m + has_center,) weights, center first
 
     def expand(self) -> tuple[np.ndarray, np.ndarray]:
         """Full atom arrays (possibly with coincident points near 0)."""
-        if not self.symmetric:
-            return self.x.copy(), self.v.copy()
         pairs_w = self.v[1:] if self.has_center else self.v
         locs = np.concatenate([-self.x[::-1], [0.0] if self.has_center else [], self.x])
         ws = np.concatenate(
@@ -227,8 +220,6 @@ class _Param:
 
     def weight_constraint(self) -> np.ndarray:
         """c such that c . v = 1 reflects total probability one."""
-        if not self.symmetric:
-            return np.ones(self.v.size)
         c = np.full(self.v.size, 2.0)
         if self.has_center:
             c[0] = 1.0
@@ -236,98 +227,64 @@ class _Param:
 
     def fold_gradient(self, d_loc: np.ndarray, d_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map full-atom gradients onto the reduced coordinates."""
-        if not self.symmetric:
-            return d_loc, d_w
-        m, hc = self.m, self.has_center
+        m, hc = self.x.size, self.has_center
         neg = slice(0, m)          # full index i holds -x[m-1-i]
         pos = slice(m + hc, 2 * m + hc)
         gx = d_loc[pos] - d_loc[neg][::-1]
-        gw_pairs = d_w[pos] + d_w[neg][::-1]
-        if hc:
-            return gx, np.concatenate([[d_w[m]], gw_pairs])
-        return gx, gw_pairs
+        return gx, np.concatenate([d_w[m:m + hc], d_w[pos] + d_w[neg][::-1]])
 
     def bounds(self) -> list[tuple[float, float]]:
         """Box of each coordinate of the vector (x, v), in order."""
-        lo = 0.0 if self.symmetric else -self.A
-        return [(lo, self.A)] * self.m + [(0.0, 1.0)] * self.v.size
+        return [(0.0, self.A)] * self.x.size + [(0.0, 1.0)] * self.v.size
 
     def with_coords(self, z: np.ndarray) -> "_Param":
-        return replace(self, x=z[:self.m], v=z[self.m:])
+        return replace(self, x=z[:self.x.size], v=z[self.x.size:])
 
 
-def _initial_param(A: float, K: int, symmetric: bool) -> _Param:
+def _initial_param(A: float, K: int) -> _Param:
     """Equispaced atoms on [-A, A] with uniform weights."""
     full = np.linspace(-A, A, K) if K > 1 else np.array([0.0])
-    if not symmetric:
-        return _Param(A, False, False, K, full, np.full(K, 1.0 / K))
-    has_center = K % 2 == 1
     x = full[full > 1e-12]
-    m = x.size
-    v = np.full(m + has_center, 1.0 / K)
-    return _Param(A, True, has_center, m, x, v)
+    return _Param(A, K % 2 == 1, x, np.full(x.size + K % 2, 1.0 / K))
 
 
 def _param_from_input(
     pi: DiscreteInput,
     K: int,
-    symmetric: bool,
     prefer: tuple[float, ...] = (),
 ) -> _Param | None:
-    """Embed a solved input as a warm start for a (possibly larger) K.
+    """Embed a solved symmetric input as a warm start for a (possibly larger) K.
 
     Missing slots are filled with zero weight, which leaves the achieved
     information unchanged: first at the ``prefer`` locations (typically
     where the previous level's optimality check found i(x) > I, so the
     optimizer immediately has an ascent direction there), then at the
-    midpoints of the largest location gaps.
+    midpoints of the largest location gaps.  None if ``pi`` does not fit.
     """
     locs, ws = pi.as_arrays()
 
-    def next_slot(existing, lo):
+    def next_slot(existing):
         for cand in prefer:
-            c = abs(float(cand)) if symmetric else float(cand)
+            c = abs(float(cand))
             if existing.size == 0 or np.min(np.abs(existing - c)) > 1e-3:
                 return c
-        edges = np.sort(np.concatenate([[lo], existing, [pi.A]]))
+        edges = np.sort(np.concatenate([[0.0], existing, [pi.A]]))
         j = int(np.argmax(np.diff(edges)))
         return 0.5 * (edges[j] + edges[j + 1])
 
-    if not symmetric:
-        if locs.size > K:
-            return None
-        x = locs.copy()
-        v = ws.copy()
-        while x.size < K:
-            x = np.append(x, next_slot(x, -pi.A))
-            v = np.append(v, 0.0)
-        order = np.argsort(x)
-        return _Param(pi.A, False, False, K, x[order], v[order])
-
     has_center = K % 2 == 1
-    m = K // 2
-    pos = locs > 1e-12
-    center = np.abs(locs) <= 1e-12
-    x = locs[pos]
-    vp = ws[pos]
-    w0 = float(ws[center].sum())
-    if has_center:
-        v0 = w0
-    else:
-        # Fold any center mass into a coincident pair at 0.
-        if w0 > 0.0:
-            x = np.concatenate([[0.0], x])
-            vp = np.concatenate([[0.5 * w0], vp])
-        v0 = None
-    if x.size > m:
+    x, vp = locs[locs > 1e-12], ws[locs > 1e-12]
+    w0 = float(ws[np.abs(locs) <= 1e-12].sum())
+    if w0 > 0.0 and not has_center:
+        # Fold the center mass into a coincident pair at 0.
+        x, vp = np.append(x, 0.0), np.append(vp, 0.5 * w0)
+    if x.size > K // 2:
         return None
-    while x.size < m:
-        x = np.append(x, next_slot(x, 0.0))
-        vp = np.append(vp, 0.0)
+    while x.size < K // 2:
+        x, vp = np.append(x, next_slot(x)), np.append(vp, 0.0)
     order = np.argsort(x)
-    x, vp = x[order], vp[order]
-    v = np.concatenate([[v0], vp]) if has_center else vp
-    return _Param(pi.A, True, has_center, m, x, v)
+    v = np.concatenate([[w0], vp[order]]) if has_center else vp[order]
+    return _Param(pi.A, has_center, x[order], v)
 
 
 def _objective(p: _Param, spec: QuadratureSpec) -> tuple[float, np.ndarray]:
@@ -359,7 +316,7 @@ def _pg_maximize(
     # cold import of the CLI.
     from scipy.optimize import minimize
 
-    m = param.m
+    m = param.x.size
     c = param.weight_constraint()
     box = param.bounds()
 
@@ -392,17 +349,16 @@ def solve_fixed_k(
     K: int,
     config: SolveConfig | None = None,
     init: DiscreteInput | None = None,
-    perturb_seed: int | None = None,
     prefer_locations: tuple[float, ...] = (),
 ) -> tuple[DiscreteInput, float, bool, int, str]:
-    """Locally optimal input with at most K surviving atoms, and its I.
+    """Locally optimal symmetric input with at most K surviving atoms, and its I.
 
-    One SLSQP run over locations boxed to [-A, A] and weights boxed to
-    [0, 1] with total probability one (see ``_pg_maximize``).  Weights below
+    One SLSQP run (see ``_pg_maximize``) from ``init`` padded with
+    zero-weight pairs, first at ``prefer_locations`` (see
+    ``_param_from_input``), or else from equispaced atoms.  Weights below
     1e-9 are pruned and coincident atoms merged before the final evaluation.
-    Deterministic given ``config.seed``; returns (input, info_nats,
-    converged, iterations, status), with ``converged``, ``iterations`` and
-    ``status`` SLSQP's success flag, iteration count and stop message.
+    Returns (input, info_nats, converged, iterations, status), the last
+    three being SLSQP's success flag, iteration count and stop message.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -411,15 +367,9 @@ def solve_fixed_k(
     cfg = config or SolveConfig()
     param = None
     if init is not None:
-        param = _param_from_input(init, K, cfg.symmetric, prefer=prefer_locations)
+        param = _param_from_input(init, K, prefer=prefer_locations)
     if param is None:
-        param = _initial_param(A, K, cfg.symmetric)
-    if perturb_seed is not None:
-        rng = np.random.default_rng(perturb_seed)
-        spacing = A / max(K, 2)
-        jitter = rng.uniform(-0.25, 0.25, size=param.x.shape) * spacing
-        lo = 0.0 if cfg.symmetric else -A
-        param = replace(param, x=np.clip(param.x + jitter, lo, A))
+        param = _initial_param(A, K)
 
     status: list[str] = []
     param, _, converged, iters = _pg_maximize(param, cfg, status)
@@ -437,12 +387,12 @@ def solve_fixed_k(
 def solve_capacity(A: float, config: SolveConfig | None = None) -> SolveReport:
     """Capacity, optimal input, and support size at amplitude A.
 
-    Runs ``solve_fixed_k`` for K = K0, K0+2 (symmetric mode; +1 otherwise),
-    escalating until both KKT residuals pass ``config.kkt_eps``.  Each K is
-    attempted from the equispaced start, a warm start padded from the
-    previous K's best, and, if those stall, seeded perturbed restarts.
-    Reaching ``max_k`` without certification returns the best report flagged
-    unconverged.
+    Runs one ``solve_fixed_k`` per level K = K0, K0+2, ... <= ``max_k``
+    until both KKT residuals pass ``config.kkt_eps``.  The first level
+    starts from equispaced atoms; each later one is warm-started from the
+    previous level's input plus a zero-weight pair at +-x, where x is the
+    previous level's worst violation of i(x) <= I.  Reaching ``max_k``
+    without certification returns the best level flagged unconverged.
     """
     if not (A > 0.0 and math.isfinite(A)):
         raise ValueError(f"amplitude must be positive and finite, got {A}")
@@ -452,61 +402,28 @@ def solve_capacity(A: float, config: SolveConfig | None = None) -> SolveReport:
         k0 = cfg.initial_k
     else:
         k0 = max(1, math.ceil(dytso_lower_bound(A) - 1e-12))
-        # In symmetric mode walk odd K only: a center-plus-pairs support can
-        # express either parity (the center weight just goes to zero when the
-        # optimum is even), whereas an even-K run facing an odd optimum must
-        # crawl a pair of atoms together through a nearly flat direction.
-        if cfg.symmetric and k0 % 2 == 0:
+        # Walk odd K only: a center-plus-pairs support can express either
+        # parity (the center weight just goes to zero when the optimum is
+        # even), whereas an even-K run facing an odd optimum must crawl a
+        # pair of atoms together through a nearly flat direction.
+        if k0 % 2 == 0:
             k0 += 1
         k0 = min(k0, cfg.max_k)
-    step = 2 if cfg.symmetric else 1
 
     history: list[EscalationStep] = []
-    best_overall = None   # (pi, info, r_s, r_g)
-    prev_best: DiscreteInput | None = None
-    prev_violation: tuple[float, ...] = ()
+    best = None   # (pi, info, r_s, r_g) of the level reported
+    pi: DiscreteInput | None = None
+    violation: tuple[float, ...] = ()
     # Optimality checks run at the library default tolerance: the residuals
     # are compared against kkt_eps, orders above the integration error.
     kkt_spec = QuadratureSpec()
 
-    K = k0
-    while K <= cfg.max_k:
-        attempts: list[tuple[DiscreteInput | None, int | None]] = []
-        if prev_best is not None:
-            attempts.append((prev_best, None))
-        attempts.append((None, None))
-
-        best_for_k = None
-        passed = None
-
-        def run(init, pseed):
-            nonlocal best_for_k, passed
-            pi, info, _, iters, status = solve_fixed_k(
-                A, K, cfg, init=init, perturb_seed=pseed,
-                prefer_locations=prev_violation,
-            )
-            r_s, r_g, x_viol = _kkt_scan(pi, kkt_spec, 2001)
-            cand = (pi, info, r_s, r_g, x_viol, iters, status)
-            if best_for_k is None or info > best_for_k[1]:
-                best_for_k = cand
-            if r_s <= cfg.kkt_eps and r_g <= cfg.kkt_eps:
-                passed = cand
-            return passed is not None
-
-        for init, pseed in attempts:
-            if run(init, pseed):
-                break
-        # Perturbed restarts only when the optimizer itself looks stuck: an
-        # un-equalized support means it failed to reach stationarity.  A
-        # clean solution whose only defect is a global violation just needs
-        # a larger K.
-        if passed is None and best_for_k[2] > cfg.kkt_eps:
-            for r in range(cfg.restarts):
-                pseed = int(np.random.default_rng((cfg.seed, K, r)).integers(2**31))
-                if run(None, pseed):
-                    break
-        use = passed if passed is not None else best_for_k
-        pi, info, r_s, r_g, x_viol, iters, status = use
+    for K in range(k0, cfg.max_k + 1, 2):
+        pi, info, _, iters, status = solve_fixed_k(
+            A, K, cfg, init=pi, prefer_locations=violation
+        )
+        r_s, r_g, x_viol = _kkt_scan(pi, kkt_spec, 2001)
+        passed = r_s <= cfg.kkt_eps and r_g <= cfg.kkt_eps
         history.append(
             EscalationStep(
                 k_tried=K,
@@ -514,33 +431,18 @@ def solve_capacity(A: float, config: SolveConfig | None = None) -> SolveReport:
                 info_nats=info,
                 kkt_support=r_s,
                 kkt_global=r_g,
-                converged=passed is not None,
+                converged=passed,
                 opt_iters=iters,
                 opt_status=status,
             )
         )
-        if best_overall is None or info > best_overall[1]:
-            best_overall = (pi, info, r_s, r_g)
-        if passed is not None:
-            return SolveReport(
-                A=A,
-                input=pi,
-                capacity_nats=info,
-                k=pi.k,
-                kkt_support=r_s,
-                kkt_global=r_g,
-                converged=True,
-                history=tuple(history),
-                wall_time_s=time.perf_counter() - t0,
-                eps=cfg.kkt_eps,
-                seed=cfg.seed,
-            )
-        prev_best = pi
-        # Seed the next level's fresh atoms where optimality failed hardest.
-        prev_violation = (x_viol, -x_viol) if cfg.symmetric else (x_viol,)
-        K += step
+        if passed or best is None or info > best[1]:
+            best = (pi, info, r_s, r_g)
+        if passed:
+            break
+        violation = (x_viol,)
 
-    pi, info, r_s, r_g = best_overall
+    pi, info, r_s, r_g = best
     return SolveReport(
         A=A,
         input=pi,
@@ -548,7 +450,7 @@ def solve_capacity(A: float, config: SolveConfig | None = None) -> SolveReport:
         k=pi.k,
         kkt_support=r_s,
         kkt_global=r_g,
-        converged=False,
+        converged=history[-1].converged,
         history=tuple(history),
         wall_time_s=time.perf_counter() - t0,
         eps=cfg.kkt_eps,

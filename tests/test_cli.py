@@ -203,11 +203,38 @@ class TestProbeCli:
         capsys.readouterr()
 
 
+def _solve_config_under_env(monkeypatch, value):
+    """The SolveConfig that ``acawgn solve`` builds with ACAWGN_QUAD_TOL set."""
+    from acawgn.solver import SolveReport
+
+    seen = []
+    pi = DiscreteInput(A=2.0, locations=(-2.0, 2.0), weights=(0.5, 0.5))
+    fake = SolveReport(A=2.0, input=pi, capacity_nats=0.5, k=2,
+                       kkt_support=1e-9, kkt_global=1e-9, converged=True,
+                       history=(), wall_time_s=0.0, eps=1e-6, seed=0)
+
+    def capture(A, config):
+        seen.append(config)
+        return fake
+
+    monkeypatch.setenv(cli.QUAD_TOL_ENV, value)
+    monkeypatch.setattr(cli, "solve_capacity", capture)
+    assert main(["solve", "--amplitude", "2"]) == 0
+    return seen[0]
+
+
 class TestQuadTolEnv:
-    def test_env_override_applied(self, monkeypatch):
-        monkeypatch.setenv(cli.QUAD_TOL_ENV, "1e-8")
-        spec = cli._quad_spec()
-        assert spec.abs_tol == 1e-8
+    def test_env_override_applied(self, monkeypatch, capsys):
+        assert _solve_config_under_env(monkeypatch, "1e-8").quad.abs_tol == 1e-8
+        capsys.readouterr()
+
+    def test_env_override_keeps_solver_rel_tol(self, monkeypatch, capsys):
+        # the variable sets abs_tol only; the solver's tighter rel_tol stays
+        from acawgn.solver import SolveConfig
+
+        config = _solve_config_under_env(monkeypatch, "1e-8")
+        assert config.quad.rel_tol == SolveConfig().quad.rel_tol == 1e-10
+        capsys.readouterr()
 
     def test_env_invalid_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv(cli.QUAD_TOL_ENV, "not-a-float")

@@ -91,11 +91,6 @@ class TestSmallScan:
         assert payload[0]["status"] == "ok"
         assert payload[0]["bulk_dev"] is None  # NaN maps to null
 
-    def test_workers_preserve_order(self, small):
-        records, _ = small
-        parallel = scan([0.5, 0.8], SolveConfig(seed=3), workers=2)
-        assert records_to_csv(parallel) == records_to_csv(records)
-
 
 class TestFitScaling:
     def test_exact_power_law_four_thirds(self):

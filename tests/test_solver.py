@@ -121,18 +121,17 @@ class TestSolveFixedK:
         assert pi.k == 9
         assert abs(info - 1.5758716926530236) <= 1e-9
 
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_optimizer_output_is_feasible(self, symmetric):
+    def test_optimizer_output_is_feasible(self):
         # the raw SLSQP step, before solve_fixed_k renormalizes its weights
         from dataclasses import replace
 
         from acawgn.solver import _initial_param, _pg_maximize
 
         A = 3.0
-        cfg = SolveConfig(symmetric=symmetric)
+        cfg = SolveConfig()
         rng = np.random.default_rng(5)
         for K in (4, 5):
-            start = _initial_param(A, K, symmetric)
+            start = _initial_param(A, K)
             (lo_x, hi_x) = start.bounds()[0]
             perturbed = replace(
                 start,
@@ -147,12 +146,12 @@ class TestSolveFixedK:
                 assert np.all((lo <= z) & (z <= hi))
                 assert info > 0.0
 
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_result_is_feasible(self, symmetric):
+    def test_result_is_feasible(self):
         A = 3.0
-        for K, seed in ((4, None), (5, 11)):
-            cfg = SolveConfig(symmetric=symmetric)
-            pi, info, *_ = solve_fixed_k(A, K, cfg, perturb_seed=seed)
+        binary = DiscreteInput(A=A, locations=(-A, A), weights=(0.5, 0.5))
+        # the equispaced start, and a warm start padded with a zero-weight pair
+        for K, init in ((4, None), (5, binary)):
+            pi, info, *_ = solve_fixed_k(A, K, init=init, prefer_locations=(1.0,))
             locs, ws = pi.as_arrays()
             assert np.all(np.abs(locs) <= A)
             assert np.all(ws >= 0.0)
@@ -251,12 +250,33 @@ class TestSolveCapacity:
         assert not rep.converged
         assert rep.history[-1].k_tried == 2
 
-    def test_asymmetric_mode_matches(self):
-        rep = solve_capacity(0.8, SolveConfig(symmetric=False))
+    @pytest.mark.parametrize(
+        "A, K, C, ladder",
+        [(8.0, 9, 1.5758716926530236, [5, 7, 9]),
+         (12.0, 13, 1.912608933896204, [7, 9, 11, 13])],
+        ids=["A8", "A12"],
+    )
+    def test_one_warm_started_slsqp_per_level(self, monkeypatch, A, K, C, ladder):
+        import acawgn.solver as solver
+
+        calls = []   # (K, init, solved input) per solve_fixed_k call
+        real = solver.solve_fixed_k
+
+        def counted(A_, K_, config=None, init=None, **kwargs):
+            out = real(A_, K_, config, init=init, **kwargs)
+            calls.append((K_, init, out[0]))
+            return out
+
+        monkeypatch.setattr(solver, "solve_fixed_k", counted)
+        rep = solve_capacity(A)
         assert rep.converged
-        assert rep.k == 2
-        assert rep.input.locations == pytest.approx((-0.8, 0.8), abs=1e-5)
-        assert rep.capacity_nats == pytest.approx(solve_capacity(0.8).capacity_nats, abs=1e-7)
+        assert rep.k == K
+        assert abs(rep.capacity_nats - C) <= 1e-9
+        assert [h.k_tried for h in rep.history] == ladder
+        assert [k for k, _, _ in calls] == ladder
+        # equispaced first level; every later level starts from the one before
+        assert calls[0][1] is None
+        assert all(now[1] is before[2] for before, now in zip(calls, calls[1:]))
 
     def test_support_count_matches_blahut_arimoto_at_a3(self):
         # independent route: dense-grid Blahut-Arimoto with mass clustering
