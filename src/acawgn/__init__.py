@@ -41,8 +41,6 @@ from .solver import (
 )
 from .certificates import (
     CertificateReport,
-    MomentMatrix,
-    TrigMomentSequence,
     base_frequency,
     certificate_report,
     certified_tv_lower_bound_maxnorm,

@@ -14,6 +14,10 @@ total-variation lower bound:
 rank deficit of the moment matrix against the identity, and the closed-form
 floor (1/4) exp(-2 pi^2 K^2 / A^2) that depends on K/A only.
 
+Moments are plain ndarrays (t_0..t_n, with t_{-k} = conj(t_k), and the
+matrix T_n); ``certificate_report`` builds T_2K once and reads both the
+Frobenius gap and the numerical rank from it.
+
 The exponential factors underflow doubles once K is a few multiples of A, so
 every bound is computed (and reported) in log-space alongside its linear
 value.  All computations here are pure and exact up to floating point: no
@@ -32,8 +36,6 @@ from .inputs import DiscreteInput, mixture_density
 from .numerics import DEFAULT_QUAD, QuadratureSpec, tv_distance, uniform_output
 
 __all__ = [
-    "TrigMomentSequence",
-    "MomentMatrix",
     "CertificateReport",
     "base_frequency",
     "trig_moment",
@@ -77,76 +79,27 @@ def uniform_trig_moment(A: float, k: int) -> complex:
     return complex(1.0) if k == 0 else complex(0.0)
 
 
-@dataclass(frozen=True)
-class TrigMomentSequence:
-    """Moments t_k for k in [-n, n] at a fixed base frequency."""
-
-    delta: float
-    n: int
-    values: np.ndarray  # complex, length 2n+1; values[n + k] = t_k
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        if self.values.shape != (2 * self.n + 1,):
-            raise ValueError("values must have length 2n+1")
-        if abs(self.values[self.n] - 1.0) > 1e-12:
-            raise ValueError("t_0 must equal 1")
-        if np.any(np.abs(self.values) > 1.0 + 1e-12):
-            raise ValueError("characteristic values cannot exceed 1 in modulus")
-        if not np.allclose(self.values[::-1], np.conj(self.values), atol=1e-12):
-            raise ValueError("t_{-k} must equal conj(t_k)")
-
-    def t(self, k: int) -> complex:
-        return complex(self.values[self.n + k])
-
-
-def trig_moment_sequence(pi: DiscreteInput, n: int, delta: float) -> TrigMomentSequence:
-    """All moments t_{-n}..t_n of ``pi`` at base frequency ``delta``."""
+def trig_moment_sequence(pi: DiscreteInput, n: int, delta: float) -> np.ndarray:
+    """Moments t_0..t_n of ``pi`` at base frequency ``delta``; t_{-k} = conj(t_k)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     locs, ws = pi.as_arrays()
     ks = np.arange(0, n + 1)
-    pos = (np.exp(1j * delta * np.outer(ks, locs)) * ws).sum(axis=1)
-    vals = np.concatenate([np.conj(pos[1:][::-1]), pos])
-    return TrigMomentSequence(delta=delta, n=n, values=vals)
+    return (np.exp(1j * delta * np.outer(ks, locs)) * ws).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    """(n+1) x (n+1) Hermitian Toeplitz matrix with entry (j, l) = t_{l-j}."""
-
-    order: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        n1 = self.order + 1
-        if self.matrix.shape != (n1, n1):
-            raise ValueError(f"matrix must be {n1}x{n1}")
-        if not np.allclose(self.matrix, self.matrix.conj().T, atol=1e-14):
-            raise ValueError("moment matrix must be Hermitian")
-        if not np.allclose(np.diag(self.matrix), 1.0, atol=1e-14):
-            raise ValueError("moment matrix must have unit diagonal")
-        for d in range(1, n1):
-            diag = np.diagonal(self.matrix, offset=d)
-            if not np.allclose(diag, diag[0], atol=1e-14):
-                raise ValueError("moment matrix must be Toeplitz")
+def moment_matrix(pi: DiscreteInput, n: int, delta: float) -> np.ndarray:
+    """The (n+1) x (n+1) Hermitian Toeplitz T_n with (j, l) = t_{l-j}; rank <= K."""
+    row = trig_moment_sequence(pi, n, delta)
+    return toeplitz(np.conj(row), row)
 
 
-def moment_matrix(pi: DiscreteInput, n: int, delta: float) -> MomentMatrix:
-    """Moment matrix T_n of ``pi`` at base frequency ``delta``; rank <= K."""
-    seq = trig_moment_sequence(pi, n, delta)
-    row = seq.values[seq.n:]               # t_0 .. t_n
-    mat = toeplitz(np.conj(row), row)      # (j, l) -> t_{l-j}
-    return MomentMatrix(order=n, matrix=mat)
-
-
-def uniform_moment_matrix(A: float, n: int) -> MomentMatrix:
+def uniform_moment_matrix(A: float, n: int) -> np.ndarray:
     """Moment matrix of Unif[-A, A] at delta = pi/A: exactly the identity."""
     if n < 0:
         raise ValueError("n must be >= 0")
     row = np.array([uniform_trig_moment(A, k) for k in range(n + 1)])
-    return MomentMatrix(order=n, matrix=toeplitz(np.conj(row), row))
+    return toeplitz(np.conj(row), row)
 
 
 def numerical_rank(mat: np.ndarray, rel_threshold: float = RANK_THRESHOLD) -> int:
@@ -167,8 +120,7 @@ def certified_tv_lower_bound_maxnorm_log(pi: DiscreteInput, A: float) -> tuple[f
     """
     delta = base_frequency(A)
     K = pi.k
-    seq = trig_moment_sequence(pi, 2 * K, delta)
-    mags = np.abs(seq.values[seq.n + 1:])  # |t_1| .. |t_2K|
+    mags = np.abs(trig_moment_sequence(pi, 2 * K, delta)[1:])  # |t_1| .. |t_2K|
     ks = np.arange(1, 2 * K + 1)
     with np.errstate(divide="ignore"):
         logs = -0.5 * (ks * delta) ** 2 + np.log(mags) - math.log(2.0)
@@ -218,8 +170,11 @@ def rank_route_bound(pi: DiscreteInput, A: float) -> tuple[float, float]:
     evaluated in log-space to dodge underflow.
     """
     delta = base_frequency(A)
-    K = pi.k
-    T = moment_matrix(pi, 2 * K, delta).matrix
+    return _rank_route(moment_matrix(pi, 2 * pi.k, delta), pi.k, delta)
+
+
+def _rank_route(T: np.ndarray, K: int, delta: float) -> tuple[float, float]:
+    """rank_route_bound from a ready moment matrix T = T_2K(delta)."""
     gap = float(np.linalg.norm(np.eye(2 * K + 1) - T, "fro"))
     if gap <= 0.0:
         return 0.0, 0.0
@@ -297,8 +252,8 @@ def certificate_report(
     delta = base_frequency(A)
     log_mb, argmax_k = certified_tv_lower_bound_maxnorm_log(pi, A)
     maxnorm = math.exp(log_mb) if log_mb > -745.0 else 0.0
-    gap, implied = rank_route_bound(pi, A)
-    T = moment_matrix(pi, 2 * K, delta).matrix
+    T = moment_matrix(pi, 2 * K, delta)
+    gap, implied = _rank_route(T, K, delta)
     rank = numerical_rank(T)
     measured = None
     if measure_tv:

@@ -79,6 +79,13 @@ def _solve_config(args, tol: float | None) -> SolveConfig:
     return replace(config, quad=_with_abs_tol(config.quad, tol))
 
 
+def _amplitude(A: float) -> float:
+    """``A`` if it is a usable amplitude: positive and finite."""
+    if not (A > 0.0 and math.isfinite(A)):
+        raise CliError(f"--amplitude must be positive and finite, got {A}")
+    return A
+
+
 def parse_grid(spec: str) -> list[float]:
     """Grid syntax: ``start:stop:step`` or a comma list like ``0.5,1,2``."""
     spec = spec.strip()
@@ -88,6 +95,8 @@ def parse_grid(spec: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError("expected start:stop:step")
             start, stop, step = (float(p) for p in parts)
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ValueError("start, stop and step must be finite")
             if step <= 0.0:
                 raise ValueError("step must be positive")
             if stop < start:
@@ -96,12 +105,12 @@ def parse_grid(spec: str) -> list[float]:
             grid = [start + i * step for i in range(n)]
         else:
             grid = [float(p) for p in spec.split(",") if p.strip()]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise CliError(f"bad grid spec {spec!r}: {exc}") from exc
     if not grid:
         raise CliError(f"bad grid spec {spec!r}: empty grid")
-    if any(a <= 0.0 for a in grid):
-        raise CliError(f"bad grid spec {spec!r}: amplitudes must be positive")
+    if not all(a > 0.0 and math.isfinite(a) for a in grid):
+        raise CliError(f"bad grid spec {spec!r}: amplitudes must be positive and finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise CliError(f"bad grid spec {spec!r}: must be strictly increasing")
     return grid
@@ -181,10 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args, tol) -> int:
-    if args.amplitude <= 0.0:
-        raise CliError("--amplitude must be positive")
-    config = _solve_config(args, tol)
-    report = solve_capacity(args.amplitude, config)
+    report = solve_capacity(_amplitude(args.amplitude), _solve_config(args, tol))
     payload = report.to_dict()
     if args.bits:
         payload["capacity_bits"] = payload["capacity_nats"] / math.log(2.0)
@@ -250,11 +256,9 @@ def _cmd_scan(args, tol) -> int:
 
 
 def _cmd_bounds(args, tol) -> int:
-    if args.amplitude <= 0.0:
-        raise CliError("--amplitude must be positive")
+    A = _amplitude(args.amplitude)
     if args.max_k < 1:
         raise CliError("--max-k must be >= 1")
-    A = args.amplitude
     payload = {
         "A": A,
         "dytso_lower_bound": dytso_lower_bound(A),
@@ -270,6 +274,8 @@ def _cmd_bounds(args, tol) -> int:
 
 
 def _cmd_probe(args, tol) -> int:
+    if _amplitude(args.amplitude) < 4.0:
+        raise CliError(f"probe requires --amplitude >= 4, got {args.amplitude}")
     config = _solve_config(args, tol)
     report = solve_capacity(args.amplitude, config)
     left, middle, right = theorem2_probe(args.amplitude, config, solution=report.input)

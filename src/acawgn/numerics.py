@@ -38,7 +38,6 @@ __all__ = [
     "uniform_output",
     "adaptive_quad",
     "adaptive_quad_family",
-    "density_norm",
     "tv_distance",
     "bulk_sup_deviation",
 ]
@@ -127,15 +126,12 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_depth: int = 40
-    rule_points: int = 15
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.rule_points != 15:
-            raise ValueError("only the 7/15 Gauss-Kronrod panel rule is implemented")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -182,7 +178,7 @@ _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[3:], _WG_HALF[:3][::-1]])
 _MAX_PANELS = 200_000
 
 
-def _eval_panels(f, a, b, m_hint=None):
+def _eval_panels(f, a, b):
     """Gauss-Kronrod 7/15 on each panel [a_i, b_i]; f maps (n,) -> (m, n)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -269,11 +265,6 @@ def adaptive_quad(
 
     vals, _ = adaptive_quad_family(fam, lo, hi, spec, initial_panels)
     return float(vals[0])
-
-
-def density_norm(p: DensityFn, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Quadrature of p over its declared effective support."""
-    return adaptive_quad(p, p.lo, p.hi, spec)
 
 
 def tv_distance(p, q, spec: QuadratureSpec = DEFAULT_QUAD) -> float:

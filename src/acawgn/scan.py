@@ -22,7 +22,8 @@ import numpy as np
 
 from .certificates import certified_tv_lower_bound_maxnorm, closed_form_bound
 from .inputs import DiscreteInput, mixture_density
-from .numerics import bulk_sup_deviation, tv_distance, uniform_output, adaptive_quad
+from .numerics import (QuadratureNonConvergence, adaptive_quad, bulk_sup_deviation,
+                       tv_distance, uniform_output)
 from .solver import SolveConfig, SolveReport, dytso_lower_bound, solve_capacity
 
 __all__ = [
@@ -172,7 +173,7 @@ def _scan_one(A: float, config: SolveConfig) -> tuple[ScanRecord, SolveReport | 
             status=STATUS_OK if report.converged else STATUS_UNCONVERGED,
         )
         return record, report
-    except Exception:
+    except QuadratureNonConvergence:
         record = ScanRecord(
             A=A, K=0, capacity_nats=math.nan, tv_uniform=math.nan,
             bulk_dev=math.nan, dytso_lb=dytso_lower_bound(A),
@@ -187,8 +188,9 @@ def scan_detailed(
 ) -> tuple[list[ScanRecord], list[SolveReport | None]]:
     """Scan returning both the records and the full per-A solve reports.
 
-    Individual-amplitude failures are recorded with status ``error`` and
-    never abort the scan.  Output order follows the grid.
+    An amplitude whose quadrature does not converge is recorded with status
+    ``error`` and does not abort the scan; any other exception is a bug and
+    propagates.  Output order follows the grid.
     """
     grid = _validate_grid(a_grid)
     cfg = config or SolveConfig()

@@ -74,19 +74,19 @@ def blahut_arimoto_capacity(
     ent_rows = -(np.where(P > 0.0, P * logP, 0.0)).sum(axis=1)
 
     active = np.arange(n_inputs)
+    Pa = P  # rows of the active inputs, re-sliced only when the set shrinks
     r = np.full(n_inputs, 1.0 / n_inputs)
     info = 0.0
     prev_info = -math.inf
     gap = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        Pa = P[active]
         ra = r[active]
         q = ra @ Pa
         with np.errstate(divide="ignore"):
             logq = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), -np.inf)
         # D(x) = KL(P(.|x) || q) for active x
-        d = -(Pa * logq).sum(axis=1) - ent_rows[active]
+        d = -(Pa @ logq) - ent_rows[active]
         info = float(ra @ d)
         gap = float(d.max() - info)
         if gap <= 1e-12 or abs(info - prev_info) <= rel_change_tol * max(abs(info), 1e-12):
@@ -99,6 +99,7 @@ def blahut_arimoto_capacity(
         keep = ra > mass_floor
         if not keep.all():
             active = active[keep]
+            Pa = P[active]
             r[active] = r[active] / r[active].sum()
 
     # Support extraction: threshold at mass_threshold and cluster adjacent

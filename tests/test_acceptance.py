@@ -105,7 +105,7 @@ class TestAcceptance:
             if K > 1 and np.min(np.diff(locs)) < 1e-6:
                 continue
             pi = DiscreteInput.normalized(A, locs, rng.dirichlet(np.ones(K)))
-            T = moment_matrix(pi, 2 * pi.k, base_frequency(A)).matrix
+            T = moment_matrix(pi, 2 * pi.k, base_frequency(A))
             rank = numerical_rank(T)
             worst_excess = max(worst_excess, rank - pi.k)
             assert rank <= pi.k

@@ -68,8 +68,10 @@ class TestTrigMoment:
         pi = DiscreteInput(A=1.5, locations=(-1.0, 1.2), weights=(0.5, 0.5))
         delta = base_frequency(pi.A)
         seq = trig_moment_sequence(pi, 6, delta)
-        for k in range(-6, 7):
-            assert seq.t(k) == pytest.approx(trig_moment(pi, k, delta), abs=1e-14)
+        assert seq.shape == (7,)
+        for k in range(7):
+            assert seq[k] == pytest.approx(trig_moment(pi, k, delta), abs=1e-14)
+            assert np.conj(seq[k]) == pytest.approx(trig_moment(pi, -k, delta), abs=1e-14)
 
 
 class TestUniformTrigMoment:
@@ -99,8 +101,7 @@ class TestMomentMatrix:
         for _ in range(10):
             pi = random_input(rng)
             n = int(rng.integers(0, 12))
-            mm = moment_matrix(pi, n, base_frequency(pi.A))
-            T = mm.matrix
+            T = moment_matrix(pi, n, base_frequency(pi.A))
             assert T.shape == (n + 1, n + 1)
             assert np.allclose(T, T.conj().T, atol=1e-14)
             assert np.allclose(np.diag(T), 1.0, atol=1e-15)
@@ -111,26 +112,25 @@ class TestMomentMatrix:
     def test_entries_are_moments(self):
         pi = DiscreteInput(A=2.0, locations=(-1.3, 0.4, 1.9), weights=(0.2, 0.5, 0.3))
         delta = base_frequency(pi.A)
-        T = moment_matrix(pi, 4, delta).matrix
+        T = moment_matrix(pi, 4, delta)
         for j in range(5):
             for l in range(5):
                 assert T[j, l] == pytest.approx(trig_moment(pi, l - j, delta), abs=1e-14)
 
     def test_uniform_matrix_is_identity(self):
-        mm = uniform_moment_matrix(3.0, 8)
-        assert np.array_equal(mm.matrix, np.eye(9, dtype=complex))
+        assert np.array_equal(uniform_moment_matrix(3.0, 8), np.eye(9, dtype=complex))
 
     def test_order_zero(self):
         pi = DiscreteInput(A=1.0, locations=(0.3,), weights=(1.0,))
-        mm = moment_matrix(pi, 0, base_frequency(1.0))
-        assert mm.matrix.shape == (1, 1)
-        assert mm.matrix[0, 0] == 1.0 + 0.0j
+        T = moment_matrix(pi, 0, base_frequency(1.0))
+        assert T.shape == (1, 1)
+        assert T[0, 0] == 1.0 + 0.0j
 
     def test_rank_at_most_k(self):
         rng = np.random.default_rng(47)
         for _ in range(25):
             pi = random_input(rng, k_lo=1, k_hi=12, a_lo=1.0, a_hi=30.0)
-            T = moment_matrix(pi, 2 * pi.k, base_frequency(pi.A)).matrix
+            T = moment_matrix(pi, 2 * pi.k, base_frequency(pi.A))
             assert numerical_rank(T) <= pi.k
 
 
@@ -224,7 +224,7 @@ class TestRankRouteBound:
             gap, _ = rank_route_bound(pi, pi.A)
             assert gap >= math.sqrt(pi.k + 1) - 1e-9
             # oracle route: the remainder's singular values say the same
-            T = moment_matrix(pi, 2 * pi.k, base_frequency(pi.A)).matrix
+            T = moment_matrix(pi, 2 * pi.k, base_frequency(pi.A))
             sv = np.linalg.svd(np.eye(2 * pi.k + 1) - T, compute_uv=False)
             assert gap == pytest.approx(float(np.sqrt((sv**2).sum())), rel=1e-12)
 
@@ -251,6 +251,30 @@ class TestCertificateReport:
         d = rep.to_dict()
         assert d["K"] == 3
         assert d["measured_tv"] == rep.measured_tv
+
+    def test_builds_moment_matrix_once(self, monkeypatch):
+        import acawgn.certificates as cert
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return moment_matrix(*args)
+
+        monkeypatch.setattr(cert, "moment_matrix", counting)
+        pi = DiscreteInput(A=3.0, locations=(-2.0, 0.5, 2.0), weights=(0.3, 0.3, 0.4))
+        certificate_report(pi)
+        assert len(calls) == 1
+
+    def test_rank_fields_match_standalone_routes(self):
+        rng = np.random.default_rng(67)
+        for _ in range(10):
+            pi = random_input(rng, k_lo=1, k_hi=12, a_lo=1.0, a_hi=30.0)
+            rep = certificate_report(pi)
+            gap, implied = rank_route_bound(pi, pi.A)
+            T = moment_matrix(pi, 2 * pi.k, base_frequency(pi.A))
+            assert (rep.frobenius_gap, rep.rank_route) == (gap, implied)
+            assert rep.numerical_rank == numerical_rank(T)
 
     def test_no_tv_by_default(self):
         pi = DiscreteInput(A=2.0, locations=(-1.0, 1.0), weights=(0.5, 0.5))

@@ -40,7 +40,8 @@ class TestParseGrid:
         assert parse_grid("0.5,1,2") == [0.5, 1.0, 2.0]
 
     def test_rejects_bad_specs(self):
-        for bad in ("", "1:2", "2:1:1", "1:2:-1", "3,2", "0,1", "a,b"):
+        for bad in ("", "1:2", "2:1:1", "1:2:-1", "3,2", "0,1", "a,b",
+                    "1,inf", "1,nan", "1:inf:1", "nan:2:1", "1:2:nan", "1:1e300:1e-300"):
             with pytest.raises(cli.CliError):
                 parse_grid(bad)
 
@@ -201,6 +202,32 @@ class TestProbeCli:
                             lambda A, cfg, solution=None: (0.1, 0.1, 0.1))
         assert main(["probe", "--amplitude", "4"]) == 2
         capsys.readouterr()
+
+
+class TestAmplitudeValidation:
+    @pytest.fixture(autouse=True)
+    def no_solves(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the amplitude was validated")
+
+        monkeypatch.setattr(cli, "solve_capacity", refuse)
+        monkeypatch.setattr(cli, "scan", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        "probe --amplitude 2",
+        "probe --amplitude -1",
+        "probe --amplitude nan",
+        "solve --amplitude 0",
+        "solve --amplitude nan",
+        "solve --amplitude inf",
+        "bounds --amplitude nan",
+        "bounds --amplitude inf",
+        "scan --grid 1,inf",
+        "scan --grid 1,nan",
+    ])
+    def test_rejected_before_any_solve(self, argv, capsys):
+        assert main(argv.split()) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def _solve_config_under_env(monkeypatch, value):

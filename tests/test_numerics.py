@@ -161,8 +161,6 @@ class TestAdaptiveQuad:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_depth=0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rule_points=21)
 
 
 def _gauss_density(mean: float) -> DensityFn:

@@ -7,6 +7,7 @@ import pytest
 
 from acawgn import (
     CSV_COLUMNS,
+    QuadratureNonConvergence,
     ScanRecord,
     SolveConfig,
     bulk_sup_deviation,
@@ -143,13 +144,25 @@ class TestScanGridProperties:
 
         def flaky(A, config=None):
             if A == 0.7:
-                raise RuntimeError("synthetic failure")
+                raise QuadratureNonConvergence(np.array([1.0]), np.array([1e-3]))
             return real(A, config)
 
         monkeypatch.setattr(scan_mod, "solve_capacity", flaky)
         records = scan([0.5, 0.7, 0.8], SolveConfig(seed=1))
         assert [r.status for r in records] == ["ok", "error", "ok"]
         assert math.isnan(records[1].capacity_nats)
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        import importlib
+
+        scan_mod = importlib.import_module("acawgn.scan")
+
+        def broken(A, config=None):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(scan_mod, "solve_capacity", broken)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            scan([0.5, 0.7], SolveConfig(seed=1))
 
 
 class TestTheorem2Probe:
