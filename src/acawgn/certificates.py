@@ -144,21 +144,24 @@ def closed_form_bound(K: int, A: float) -> float:
     A function of the ratio K/A alone, so scaling K and A together leaves it
     unchanged exactly.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if not (A > 0.0 and math.isfinite(A)):
-        raise ValueError(f"amplitude must be positive and finite, got {A}")
-    r = K / A
-    return 0.25 * math.exp(-2.0 * (math.pi * r) ** 2)
+    return 0.25 * math.exp(-_closed_form_exponent(K, A))
 
 
 def closed_form_bound_log(K: int, A: float) -> float:
-    """log of closed_form_bound, safe for K >> A."""
+    """log of closed_form_bound, safe for K >> A; -inf once 2 pi^2 K^2/A^2 overflows."""
+    return math.log(0.25) - _closed_form_exponent(K, A)
+
+
+def _closed_form_exponent(K: int, A: float) -> float:
+    """2 pi^2 K^2 / A^2, or inf where it passes the float range."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if not (A > 0.0 and math.isfinite(A)):
         raise ValueError(f"amplitude must be positive and finite, got {A}")
-    return math.log(0.25) - 2.0 * (math.pi * (K / A)) ** 2
+    try:
+        return 2.0 * (math.pi * (K / A)) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def rank_route_bound(pi: DiscreteInput, A: float) -> tuple[float, float]:

@@ -3,8 +3,10 @@
 Exit codes: 0 on success, 2 when any solve finished unconverged, 1 on usage
 or I/O errors.  Data goes to --out (written atomically via a temp file and
 rename) or standard output; diagnostics go to standard error.  The
-environment variable ``ACAWGN_QUAD_TOL`` overrides the absolute quadrature
-tolerance for the run.
+environment variable ``ACAWGN_QUAD_TOL`` overrides the absolute tolerance of
+the adaptive quadrature, which only the TV integrals use (certify, scan,
+probe).  Solves and KKT residuals use a fixed trapezoid rule that it does
+not reach.
 """
 
 from __future__ import annotations
@@ -75,7 +77,10 @@ def _solve_config(args, tol: float | None) -> SolveConfig:
         kwargs["max_k"] = args.max_k
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
-    config = SolveConfig(**kwargs)
+    try:
+        config = SolveConfig(**kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     return replace(config, quad=_with_abs_tol(config.quad, tol))
 
 
@@ -269,6 +274,9 @@ def _cmd_bounds(args, tol) -> int:
             for k in range(1, args.max_k + 1)
         ],
     }
+    # JSON has no infinities: (pi*K/A)^2 beyond the float range cannot be written.
+    if not all(math.isfinite(b["log_bound"]) for b in payload["closed_form_bounds"]):
+        raise CliError(f"log_bound overflows at A={A}; the amplitude is too small")
     _emit(_json_text(payload), args.out)
     return EXIT_OK
 

@@ -15,7 +15,11 @@ size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
   previous level's input, with a zero-weight pair inserted where the scan
   found the largest violation of i(x) <= I (a cutting-plane step).
 
-A solve is deterministic: it draws no random numbers.
+The objective, its gradient, condensing, C and both KKT residuals all come
+from the trapezoid rule of ``acawgn.inputs``; no adaptive quadrature runs in
+a solve.  ``SolveConfig.quad``, which ``ACAWGN_QUAD_TOL`` adjusts, sets only
+the TV integrals that scan and probe compute from a solve.  A solve is
+deterministic: it draws no random numbers.
 """
 
 from __future__ import annotations
@@ -43,8 +47,9 @@ __all__ = [
     "solve_capacity",
 ]
 
-# Tighter than the general-purpose default: SLSQP's stopping test near the
-# optimum compares information increments of order grad^2.
+# The adaptive rule of the TV integrals that scan and probe compute from a
+# solve (``SolveConfig.quad``); tighter than the general-purpose default.
+# The solve itself uses none.
 _SOLVER_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
 # Atoms of a genuinely optimal input sit O(1) apart (unit noise), while an
@@ -72,6 +77,7 @@ class SolveConfig:
     max_iters: int = 6000             # SLSQP maxiter per fixed-K run
     # Recorded in the report (the CLI and JSON carry it); no solve reads it.
     seed: int = 0
+    # Read by scan and probe for their TV integrals, never by a solve.
     quad: QuadratureSpec = field(default_factory=lambda: _SOLVER_QUAD)
 
     def __post_init__(self):
@@ -182,7 +188,7 @@ class SolveReport:
         )
 
 
-def info_gradient(pi: DiscreteInput, spec: QuadratureSpec = _SOLVER_QUAD) -> GradientVector:
+def info_gradient(pi: DiscreteInput) -> GradientVector:
     """Analytic gradient of I at ``pi``; matches central finite differences.
 
     dI/dx_j = -w_j * integral (y - x_j) phi(y - x_j) log f(y) dy  (the
@@ -190,7 +196,7 @@ def info_gradient(pi: DiscreteInput, spec: QuadratureSpec = _SOLVER_QUAD) -> Gra
     i(x_j) - I, the derivative along renormalized weight perturbations.
     """
     locs, ws = pi.as_arrays()
-    info, i_vec, d_loc = _info_stats(pi.A, locs, ws, spec, want_locations=True)
+    info, i_vec, d_loc = _info_stats(pi.A, locs, ws, want_locations=True)
     return GradientVector(d_locations=d_loc, d_weights=i_vec - info)
 
 
@@ -287,8 +293,8 @@ def _param_from_input(
     return _Param(pi.A, has_center, x[order], v)
 
 
-def _objective(p: _Param, spec: QuadratureSpec) -> tuple[float, np.ndarray]:
-    """I and its gradient in p's coordinates (x, v), from one quadrature pass.
+def _objective(p: _Param) -> tuple[float, np.ndarray]:
+    """I and its gradient in p's coordinates (x, v), from one trapezoid pass.
 
     The weight entries are the raw partials dI/dw_j = i(x_j) - 1 +
     log(2 pi e)/2, folded onto the reduced coordinates; the total-probability
@@ -296,7 +302,7 @@ def _objective(p: _Param, spec: QuadratureSpec) -> tuple[float, np.ndarray]:
     kept because the benchmark's tracer wraps it.
     """
     locs, ws = p.expand()
-    info, i_vec, d_loc = _info_stats(p.A, locs, ws, spec, want_locations=True)
+    info, i_vec, d_loc = _info_stats(p.A, locs, ws, want_locations=True)
     gx, gv = p.fold_gradient(d_loc, i_vec + HALF_LOG_2PI_E - 1.0)
     return info, np.concatenate([gx, gv])
 
@@ -321,7 +327,7 @@ def _pg_maximize(
     box = param.bounds()
 
     def neg_info(z):
-        info, grad = _objective(param.with_coords(z), cfg.quad)
+        info, grad = _objective(param.with_coords(z))
         return -info, -grad
 
     total_one = {
@@ -375,10 +381,10 @@ def solve_fixed_k(
     param, _, converged, iters = _pg_maximize(param, cfg, status)
     locs, ws = param.expand()
     pi = DiscreteInput.normalized(A, locs, ws)
-    info = mutual_information(pi, cfg.quad)
+    info = mutual_information(pi)
     condensed = DiscreteInput.normalized(A, locs, ws, merge_tol=_CONDENSE_TOL)
     if condensed.k < pi.k:
-        info_c = mutual_information(condensed, cfg.quad)
+        info_c = mutual_information(condensed)
         if info_c >= info - _CONDENSE_INFO_TOL:
             return condensed, info_c, converged, iters, status[0]
     return pi, info, converged, iters, status[0]
@@ -414,15 +420,12 @@ def solve_capacity(A: float, config: SolveConfig | None = None) -> SolveReport:
     best = None   # (pi, info, r_s, r_g) of the level reported
     pi: DiscreteInput | None = None
     violation: tuple[float, ...] = ()
-    # Optimality checks run at the library default tolerance: the residuals
-    # are compared against kkt_eps, orders above the integration error.
-    kkt_spec = QuadratureSpec()
 
     for K in range(k0, cfg.max_k + 1, 2):
         pi, info, _, iters, status = solve_fixed_k(
             A, K, cfg, init=pi, prefer_locations=violation
         )
-        r_s, r_g, x_viol = _kkt_scan(pi, kkt_spec, 2001)
+        r_s, r_g, x_viol = _kkt_scan(pi, 2001)
         passed = r_s <= cfg.kkt_eps and r_g <= cfg.kkt_eps
         history.append(
             EscalationStep(

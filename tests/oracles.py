@@ -176,3 +176,41 @@ def mc_mutual_information(locations, weights, n_samples: int, seed: int) -> tupl
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples))
     return est, se
+
+
+def adaptive_kkt_residual(pi, grid_points: int = 2001, abs_tol: float = 1e-13):
+    """(r_support, r_global) of ``pi`` with every integral by adaptive Gauss-Kronrod.
+
+    The library's KKT scan with its trapezoid sums replaced by
+    ``adaptive_quad_family`` over [-A-12, A+12] (relative tolerance 1e-12):
+    the same 2001-point grid and the same 21-point windows around every
+    discrete local maximum of i(x).
+    """
+    from acawgn import QuadratureSpec, adaptive_quad_family, mixture_density
+
+    spec = QuadratureSpec(abs_tol=abs_tol, rel_tol=1e-12)
+    half_log_2pi_e = 0.5 * (math.log(2.0 * math.pi) + 1.0)
+    log_f = mixture_density(pi).log_pdf
+    lo, hi = -pi.A - 12.0, pi.A + 12.0
+
+    def info_at(xs):
+        out = []
+        for start in range(0, xs.size, 256):
+            xs_c = xs[start:start + 256]
+            vals, _ = adaptive_quad_family(
+                lambda y: phi(y[None, :] - xs_c[:, None]) * log_f(y)[None, :], lo, hi, spec)
+            out.append(-half_log_2pi_e - vals)
+        return np.concatenate(out)
+
+    locs, ws = pi.as_arrays()
+    i_vec = info_at(locs)
+    info = float(ws @ i_vec)
+    grid = np.linspace(-pi.A, pi.A, grid_points)
+    i_grid = info_at(grid)
+    padded = np.concatenate([[-np.inf], i_grid, [-np.inf]])
+    peaks = np.nonzero((i_grid >= padded[:-2]) & (i_grid >= padded[2:]))[0]
+    step = grid[1] - grid[0]
+    refine = np.clip(np.concatenate(
+        [np.linspace(grid[j] - step, grid[j] + step, 21) for j in peaks]), -pi.A, pi.A)
+    best = max(float(i_grid.max()), float(info_at(refine).max()))
+    return float(np.max(np.abs(i_vec - info))), max(0.0, best - info)

@@ -181,6 +181,13 @@ class TestMaxnormBound:
 
 
 class TestClosedFormBound:
+    def test_overflowing_ratio(self):
+        # (pi*K/A)^2 passes the float range: the floor underflows to 0.0 and
+        # its log is -inf instead of an OverflowError.
+        assert closed_form_bound(1, 1e-300) == 0.0
+        assert closed_form_bound_log(1, 1e-300) == -math.inf
+        assert closed_form_bound(3, 5e-324) == 0.0
+
     def test_small_ratio_limit(self):
         assert closed_form_bound(1, 1e9) == pytest.approx(0.25, rel=1e-12)
 

@@ -208,7 +208,7 @@ class TestAmplitudeValidation:
     @pytest.fixture(autouse=True)
     def no_solves(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("solved before the amplitude was validated")
+            raise AssertionError("solved before the arguments were validated")
 
         monkeypatch.setattr(cli, "solve_capacity", refuse)
         monkeypatch.setattr(cli, "scan", refuse)
@@ -224,6 +224,10 @@ class TestAmplitudeValidation:
         "bounds --amplitude inf",
         "scan --grid 1,inf",
         "scan --grid 1,nan",
+        "solve --amplitude 1 --eps -1",
+        "solve --amplitude 1 --max-k 0",
+        "scan --grid 1 --eps -1",
+        "bounds --amplitude 1e-300",
     ])
     def test_rejected_before_any_solve(self, argv, capsys):
         assert main(argv.split()) == 1

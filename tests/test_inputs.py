@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import acawgn.inputs as inputs
 from acawgn import (
     DiscreteInput,
+    QuadratureNonConvergence,
     QuadratureSpec,
     adaptive_quad,
     kkt_residual,
@@ -17,7 +19,7 @@ from acawgn import (
     std_normal_pdf,
 )
 
-from oracles import mc_mutual_information, quad_oracle
+from oracles import adaptive_kkt_residual, mc_mutual_information, quad_oracle
 
 RNG = np.random.default_rng(99)
 
@@ -178,3 +180,70 @@ class TestKktResidual:
         pi = DiscreteInput(A=1.0, locations=(0.0,), weights=(1.0,))
         _, r_global = kkt_residual(pi)
         assert r_global > 0.0
+
+
+# Wide gaps between atoms (A up to 60, K down to 2) force the finest pitches.
+WIDE_GAP_INPUTS = [
+    DiscreteInput(A=60.0, locations=(-60.0, 60.0), weights=(0.3, 0.7)),
+    DiscreteInput(A=60.0, locations=(-60.0, -10.0, 60.0), weights=(0.2, 0.5, 0.3)),
+    DiscreteInput(A=33.7, locations=(-33.7, -20.0, 1.5, 12.0, 33.7),
+                  weights=(0.1, 0.3, 0.2, 0.25, 0.15)),
+    DiscreteInput(A=8.0, locations=(-8.0, 8.0), weights=(0.5, 0.5)),
+]
+
+
+def _quadpack_info_stats(pi):
+    """I, every i(x_j) and every dI/dx_j of ``pi`` by scipy's QUADPACK."""
+    locs, ws = pi.as_arrays()
+    log_f = mixture_density(pi).log_pdf
+    half_log_2pi_e = 0.5 * (math.log(2.0 * math.pi) + 1.0)
+    breaks = sorted(set(locs) | set(0.5 * (locs[1:] + locs[:-1])))
+
+    def integral(f, lo, hi):
+        return quad_oracle(f, lo, hi, points=[b for b in breaks if lo < b < hi])
+
+    i_vec, d_loc = [], []
+    for x, w in zip(locs, ws):
+        i_vec.append(-half_log_2pi_e - integral(
+            lambda y: std_normal_pdf(y - x) * log_f(y), x - 12.0, x + 12.0))
+        d_loc.append(-w * integral(
+            lambda y: (y - x) * std_normal_pdf(y - x) * log_f(y), x - 12.0, x + 12.0))
+    entropy = integral(lambda y: -math.exp(log_f(y)) * log_f(y), -pi.A - 12.0, pi.A + 12.0)
+    return entropy - half_log_2pi_e, np.array(i_vec), np.array(d_loc)
+
+
+class TestTrapezoidRule:
+    @pytest.mark.parametrize("pi", WIDE_GAP_INPUTS, ids=lambda pi: f"A{pi.A:g}K{pi.k}")
+    def test_info_stats_match_quadpack(self, pi):
+        info, i_vec, d_loc = inputs._info_stats(pi.A, *pi.as_arrays(), want_locations=True)
+        ref_info, ref_i, ref_d = _quadpack_info_stats(pi)
+        assert info == pytest.approx(ref_info, abs=1e-11)
+        assert mutual_information(pi) == pytest.approx(ref_info, abs=1e-11)
+        assert np.max(np.abs(i_vec - ref_i)) <= 1e-11
+        assert np.max(np.abs(d_loc - ref_d)) <= 1e-11
+
+    def test_kkt_residual_matches_adaptive_reference(self, scan_results):
+        _, reports = scan_results
+        for report in reports:
+            got = kkt_residual(report.input)
+            want = adaptive_kkt_residual(report.input)
+            assert got == pytest.approx(want, abs=1e-10), report.A
+
+    def test_fft_and_direct_routes_agree(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        A = 12.0
+        pi = DiscreteInput.normalized(A, np.sort(rng.uniform(-A, A, 9)), rng.dirichlet(np.ones(9)))
+        scans = []
+        for ratio in (1e9, 0):   # FFT at any pitch ratio, then direct sums only
+            monkeypatch.setattr(inputs, "_FFT_MAX_RATIO", ratio)
+            scans.append(inputs._kkt_scan(pi, 2001))
+        fft, direct = scans
+        assert fft[1] > 1e-3
+        assert fft[:2] == pytest.approx(direct[:2], abs=1e-12)
+
+    def test_coarse_pitch_fails_the_pitch_check(self, monkeypatch):
+        pi = DiscreteInput(A=8.0, locations=(-8.0, -3.0, 2.5, 8.0), weights=(0.3, 0.2, 0.2, 0.3))
+        inputs._kkt_scan(pi, 2001)
+        monkeypatch.setattr(inputs, "_pitch", lambda locs: 1.5)
+        with pytest.raises(QuadratureNonConvergence):
+            inputs._kkt_scan(pi, 2001)

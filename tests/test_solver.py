@@ -7,7 +7,6 @@ import pytest
 
 from acawgn import (
     DiscreteInput,
-    QuadratureSpec,
     SolveConfig,
     dytso_lower_bound,
     info_gradient,
@@ -15,8 +14,6 @@ from acawgn import (
     solve_capacity,
     solve_fixed_k,
 )
-
-TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
 
 DYTSO_AT_3 = 1.7628936255133177  # sqrt(1 + 18/(pi*e)), 40-digit arithmetic
 DYTSO_AT_5 = 2.6182022749268086
@@ -40,21 +37,21 @@ class TestDytsoLowerBound:
             dytso_lower_bound(-1.0)
 
 
-def _fd_weight(pi, j, h, spec):
+def _fd_weight(pi, j, h):
     w = np.array(pi.weights)
     wp = w.copy(); wp[j] += h
     wm = w.copy(); wm[j] -= h
-    ip = mutual_information(DiscreteInput(pi.A, pi.locations, tuple(wp / wp.sum())), spec)
-    im = mutual_information(DiscreteInput(pi.A, pi.locations, tuple(wm / wm.sum())), spec)
+    ip = mutual_information(DiscreteInput(pi.A, pi.locations, tuple(wp / wp.sum())))
+    im = mutual_information(DiscreteInput(pi.A, pi.locations, tuple(wm / wm.sum())))
     return (ip - im) / (2 * h)
 
 
-def _fd_location(pi, j, h, spec):
+def _fd_location(pi, j, h):
     locs = np.array(pi.locations)
     lp = locs.copy(); lp[j] += h
     lm = locs.copy(); lm[j] -= h
-    ip = mutual_information(DiscreteInput(pi.A, tuple(lp), pi.weights), spec)
-    im = mutual_information(DiscreteInput(pi.A, tuple(lm), pi.weights), spec)
+    ip = mutual_information(DiscreteInput(pi.A, tuple(lp), pi.weights))
+    im = mutual_information(DiscreteInput(pi.A, tuple(lm), pi.weights))
     return (ip - im) / (2 * h)
 
 
@@ -83,11 +80,11 @@ class TestInfoGradient:
                 locs = np.sort(rng.uniform(-A * 0.85, A * 0.85, K))
             w = rng.dirichlet(np.ones(K) * 3)
             pi = DiscreteInput.normalized(A, locs, w)
-            g = info_gradient(pi, TIGHT)
+            g = info_gradient(pi)
             h = 1e-5
             for j in range(pi.k):
-                fd_w = _fd_weight(pi, j, h, TIGHT)
-                fd_x = _fd_location(pi, j, h, TIGHT)
+                fd_w = _fd_weight(pi, j, h)
+                fd_x = _fd_location(pi, j, h)
                 assert _agree(g.d_weights[j], fd_w), (g.d_weights[j], fd_w)
                 assert _agree(g.d_locations[j], fd_x), (g.d_locations[j], fd_x)
 
@@ -277,6 +274,18 @@ class TestSolveCapacity:
         # equispaced first level; every later level starts from the one before
         assert calls[0][1] is None
         assert all(now[1] is before[2] for before, now in zip(calls, calls[1:]))
+
+    def test_solve_runs_no_adaptive_quadrature(self, monkeypatch):
+        import acawgn.numerics as numerics
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called during a solve")
+
+        monkeypatch.setattr(numerics, "_eval_panels", refuse)
+        rep = solve_capacity(8.0)
+        assert rep.converged
+        assert rep.k == 9
+        assert abs(rep.capacity_nats - 1.5758716926530236) <= 1e-9
 
     def test_support_count_matches_blahut_arimoto_at_a3(self):
         # independent route: dense-grid Blahut-Arimoto with mass clustering
