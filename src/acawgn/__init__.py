@@ -9,7 +9,6 @@ amplitude.
 
 from .numerics import (
     DEFAULT_QUAD,
-    DensityFn,
     QuadratureNonConvergence,
     QuadratureSpec,
     adaptive_quad,
@@ -18,7 +17,6 @@ from .numerics import (
     std_normal_cdf,
     std_normal_pdf,
     tv_distance,
-    uniform_output,
     uniform_output_density,
 )
 from .inputs import (

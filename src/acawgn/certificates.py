@@ -20,8 +20,9 @@ Frobenius gap and the numerical rank from it.
 
 The exponential factors underflow doubles once K is a few multiples of A, so
 every bound is computed (and reported) in log-space alongside its linear
-value.  All computations here are pure and exact up to floating point: no
-quadrature enters except the optional measured-TV field of a report.
+value.  All computations here are pure and exact up to floating point, the
+optional measured-TV field of a report included: it sums closed-form CDF
+differences between the sign changes of p - q, and runs no quadrature.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .inputs import DiscreteInput, mixture_density
-from .numerics import DEFAULT_QUAD, QuadratureSpec, tv_distance, uniform_output
+from .inputs import DiscreteInput
+from .numerics import tv_distance
 
 __all__ = [
     "CertificateReport",
@@ -191,9 +192,9 @@ class CertificateReport:
     """All certificate quantities for one (input, amplitude) pair.
 
     ``measured_tv`` (when present) must dominate the max-norm bound: that
-    inequality is rigorous, so a violation beyond quadrature tolerance is an
-    error.  The two Frobenius-gap flags record which candidate constant the
-    instance supports (the sqrt(K+1) floor is the provable one).
+    inequality is rigorous, so a violation beyond 1e-8 is an error.  The two
+    Frobenius-gap flags record which candidate constant the instance
+    supports (the sqrt(K+1) floor is the provable one).
     """
 
     A: float
@@ -242,12 +243,11 @@ def certificate_report(
     pi: DiscreteInput,
     A: float | None = None,
     measure_tv: bool = False,
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> CertificateReport:
     """Assemble every certificate quantity for ``pi`` against Unif[-A, A].
 
     ``A`` defaults to the input's own amplitude.  ``measure_tv`` additionally
-    computes TV(f_pi, f_unif_A) by quadrature (the only non-exact field).
+    computes TV(f_pi, f_unif_A) from closed-form CDFs (see ``tv_distance``).
     """
     if A is None:
         A = pi.A
@@ -260,7 +260,7 @@ def certificate_report(
     rank = numerical_rank(T)
     measured = None
     if measure_tv:
-        measured = tv_distance(mixture_density(pi), uniform_output(A), spec)
+        measured = tv_distance(pi, A)
     return CertificateReport(
         A=A,
         K=K,

@@ -2,11 +2,10 @@
 
 Exit codes: 0 on success, 2 when any solve finished unconverged, 1 on usage
 or I/O errors.  Data goes to --out (written atomically via a temp file and
-rename) or standard output; diagnostics go to standard error.  The
-environment variable ``ACAWGN_QUAD_TOL`` overrides the absolute tolerance of
-the adaptive quadrature, which only the TV integrals use (certify, scan,
-probe).  Solves and KKT residuals use a fixed trapezoid rule that it does
-not reach.
+rename) or standard output; diagnostics go to standard error.  No command
+reads a quadrature tolerance: solves and KKT residuals use a fixed trapezoid
+rule, and the TV figures of certify, scan and probe are exact sums of
+closed-form CDF differences.
 """
 
 from __future__ import annotations
@@ -17,11 +16,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 from .certificates import certificate_report, closed_form_bound, closed_form_bound_log
 from .inputs import DiscreteInput
-from .numerics import QuadratureSpec
 from .scan import (
     CSV_COLUMNS,
     SolveConfig,
@@ -32,7 +29,6 @@ from .scan import (
 )
 from .solver import dytso_lower_bound, solve_capacity
 
-QUAD_TOL_ENV = "ACAWGN_QUAD_TOL"
 DEFAULT_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 _SEED_HELP = "recorded in the report; solves draw no random numbers"
 
@@ -50,26 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _quad_tol() -> float | None:
-    """The validated ``ACAWGN_QUAD_TOL`` value, or None when it is unset."""
-    raw = os.environ.get(QUAD_TOL_ENV)
-    if raw is None:
-        return None
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise CliError(f"{QUAD_TOL_ENV} must be a float, got {raw!r}") from exc
-    if tol <= 0.0:
-        raise CliError(f"{QUAD_TOL_ENV} must be positive, got {tol}")
-    return tol
-
-
-def _with_abs_tol(spec: QuadratureSpec, tol: float | None) -> QuadratureSpec:
-    """``spec`` with only its absolute tolerance overridden by ``tol``."""
-    return spec if tol is None else replace(spec, abs_tol=tol)
-
-
-def _solve_config(args, tol: float | None) -> SolveConfig:
+def _solve_config(args) -> SolveConfig:
     kwargs = {}
     if getattr(args, "eps", None) is not None:
         kwargs["kkt_eps"] = args.eps
@@ -78,10 +55,9 @@ def _solve_config(args, tol: float | None) -> SolveConfig:
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
     try:
-        config = SolveConfig(**kwargs)
+        return SolveConfig(**kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    return replace(config, quad=_with_abs_tol(config.quad, tol))
 
 
 def _amplitude(A: float) -> float:
@@ -163,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--input", required=True,
                         help="JSON file: a bare input or a solve report")
     p_cert.add_argument("--measure-tv", action="store_true",
-                        help="also measure TV(f_pi, f_unif_A) by quadrature")
+                        help="also compute TV(f_pi, f_unif_A) exactly")
     p_cert.add_argument("--out", default=None)
 
     p_scan = sub.add_parser("scan", help="scan an amplitude grid to CSV/JSON")
@@ -194,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(args, tol) -> int:
-    report = solve_capacity(_amplitude(args.amplitude), _solve_config(args, tol))
+def _cmd_solve(args) -> int:
+    report = solve_capacity(_amplitude(args.amplitude), _solve_config(args))
     payload = report.to_dict()
     if args.bits:
         payload["capacity_bits"] = payload["capacity_nats"] / math.log(2.0)
@@ -226,18 +202,15 @@ def _load_input(path: str) -> DiscreteInput:
     raise CliError(f"invalid input file {path}: no 'points' or 'input' field")
 
 
-def _cmd_certify(args, tol) -> int:
-    pi = _load_input(args.input)
-    spec = _with_abs_tol(QuadratureSpec(), tol)
-    report = certificate_report(pi, measure_tv=args.measure_tv, spec=spec)
+def _cmd_certify(args) -> int:
+    report = certificate_report(_load_input(args.input), measure_tv=args.measure_tv)
     _emit(_json_text(report.to_dict()), args.out)
     return EXIT_OK
 
 
-def _cmd_scan(args, tol) -> int:
+def _cmd_scan(args) -> int:
     grid = parse_grid(args.grid) if args.grid is not None else list(DEFAULT_GRID)
-    config = _solve_config(args, tol)
-    records = scan(grid, config)
+    records = scan(grid, _solve_config(args))
     if args.columns is not None:
         names = [c.strip() for c in args.columns.split(",") if c.strip()]
         unknown = [n for n in names if n not in CSV_COLUMNS]
@@ -260,7 +233,7 @@ def _cmd_scan(args, tol) -> int:
     return EXIT_OK
 
 
-def _cmd_bounds(args, tol) -> int:
+def _cmd_bounds(args) -> int:
     A = _amplitude(args.amplitude)
     if args.max_k < 1:
         raise CliError("--max-k must be >= 1")
@@ -281,10 +254,10 @@ def _cmd_bounds(args, tol) -> int:
     return EXIT_OK
 
 
-def _cmd_probe(args, tol) -> int:
+def _cmd_probe(args) -> int:
     if _amplitude(args.amplitude) < 4.0:
         raise CliError(f"probe requires --amplitude >= 4, got {args.amplitude}")
-    config = _solve_config(args, tol)
+    config = _solve_config(args)
     report = solve_capacity(args.amplitude, config)
     left, middle, right = theorem2_probe(args.amplitude, config, solution=report.input)
     payload = {
@@ -314,8 +287,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        tol = _quad_tol()
-        return _COMMANDS[args.command](args, tol)
+        return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,7 @@ one uniform grid over [-A-10, A+10], at pitch h = min(0.25, 0.5/max_gap)
 analytic and decay like Gaussians, so the rule converges geometrically in
 the pitch (Trefethen & Weideman, SIAM Review 56(3), 2014).  ``kkt_residual``
 checks the pitch once per call, against the sum at 2h.  No adaptive
-quadrature runs here, so ``ACAWGN_QUAD_TOL`` does not reach these integrals.
+quadrature runs here.
 
 Inputs are immutable after construction; all operations are pure.
 """
@@ -196,19 +196,10 @@ class DiscreteInput:
 class MixtureDensity:
     """Output law f(y) = sum_j w_j * phi(y - x_j) of a DiscreteInput.
 
-    A unit-variance Gaussian mixture; vectorized and usable wherever a
-    DensityFn is expected (callable with ``lo``/``hi`` effective support).
+    A unit-variance Gaussian mixture, callable on scalars or arrays.
     """
 
     input_dist: DiscreteInput
-
-    @property
-    def lo(self) -> float:
-        return -self.input_dist.A - TAIL_PAD
-
-    @property
-    def hi(self) -> float:
-        return self.input_dist.A + TAIL_PAD
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:

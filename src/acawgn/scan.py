@@ -22,8 +22,7 @@ import numpy as np
 
 from .certificates import certified_tv_lower_bound_maxnorm, closed_form_bound
 from .inputs import DiscreteInput, mixture_density
-from .numerics import (QuadratureNonConvergence, adaptive_quad, bulk_sup_deviation,
-                       tv_distance, uniform_output)
+from .numerics import QuadratureNonConvergence, _tv_parts, bulk_sup_deviation, tv_distance
 from .solver import SolveConfig, SolveReport, dytso_lower_bound, solve_capacity
 
 __all__ = [
@@ -155,10 +154,9 @@ def _scan_one(A: float, config: SolveConfig) -> tuple[ScanRecord, SolveReport | 
     try:
         report = solve_capacity(A, config)
         pi = report.input
-        f_star = mixture_density(pi)
-        tv = tv_distance(f_star, uniform_output(A), config.quad)
+        tv = tv_distance(pi, A)
         if A > 1.0:
-            bulk = bulk_sup_deviation(f_star, A, A - math.sqrt(A))
+            bulk = bulk_sup_deviation(mixture_density(pi), A, A - math.sqrt(A))
         else:
             bulk = math.nan
         record = ScanRecord(
@@ -252,26 +250,16 @@ def theorem2_probe(
     """Split TV(f_A_star, f_unif_A) into tail/bulk/tail parts at B = A - sqrt(A).
 
     Returns the three partial integrals (each including the global 1/2
-    factor) over (-inf, -B], [-B, B], [B, inf); their sum equals the full TV
-    distance to within quadrature tolerance.  Requires A >= 4 so the bulk is
-    comfortably nonempty.  ``solution`` reuses an already-solved input;
-    otherwise the amplitude is solved afresh with ``config``.
+    factor) over (-inf, -B], [-B, B], [B, inf).  They come from the same
+    closed-form CDF differences as ``tv_distance``, with +-B added to the
+    breakpoints, so their sum is the full TV distance up to rounding.
+    Requires A >= 4 so the bulk is comfortably nonempty.  ``solution`` reuses
+    an already-solved input; otherwise the amplitude is solved afresh with
+    ``config``.
     """
     if not A >= 4.0:
         raise ValueError(f"probe requires A >= 4, got {A}")
     B = A - math.sqrt(A)
     pi = solution if solution is not None else solve_capacity(A, config).input
-    cfg = config or SolveConfig()
-    f_star = mixture_density(pi)
-    f_unif = uniform_output(A)
-    lo, hi = f_star.lo, f_star.hi
-
-    def integrand(y):
-        return np.abs(f_star(y) - f_unif(y))
-
-    parts = (
-        0.5 * adaptive_quad(integrand, lo, -B, cfg.quad),
-        0.5 * adaptive_quad(integrand, -B, B, cfg.quad),
-        0.5 * adaptive_quad(integrand, B, hi, cfg.quad),
-    )
-    return parts
+    left, bulk, right = _tv_parts(A, *pi.as_arrays(), (-B, B))
+    return float(left), float(bulk), float(right)

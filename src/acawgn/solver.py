@@ -17,8 +17,7 @@ size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
 
 The objective, its gradient, condensing, C and both KKT residuals all come
 from the trapezoid rule of ``acawgn.inputs``; no adaptive quadrature runs in
-a solve.  ``SolveConfig.quad``, which ``ACAWGN_QUAD_TOL`` adjusts, sets only
-the TV integrals that scan and probe compute from a solve.  A solve is
+a solve, and no option sets a quadrature tolerance.  A solve is
 deterministic: it draws no random numbers.
 """
 
@@ -26,12 +25,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .inputs import DiscreteInput, _info_stats, _kkt_scan, mutual_information
-from .numerics import HALF_LOG_2PI_E, QuadratureSpec
+from .numerics import HALF_LOG_2PI_E
 # Unused here, but the benchmark's tracer patches acawgn.solver's binding of
 # it and its test expects the name to exist.
 from .numerics import adaptive_quad_family  # noqa: F401
@@ -46,11 +45,6 @@ __all__ = [
     "solve_fixed_k",
     "solve_capacity",
 ]
-
-# The adaptive rule of the TV integrals that scan and probe compute from a
-# solve (``SolveConfig.quad``); tighter than the general-purpose default.
-# The solve itself uses none.
-_SOLVER_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
 # Atoms of a genuinely optimal input sit O(1) apart (unit noise), while an
 # oversized-K run parks surplus atoms within optimizer dust of a true one.
@@ -77,8 +71,6 @@ class SolveConfig:
     max_iters: int = 6000             # SLSQP maxiter per fixed-K run
     # Recorded in the report (the CLI and JSON carry it); no solve reads it.
     seed: int = 0
-    # Read by scan and probe for their TV integrals, never by a solve.
-    quad: QuadratureSpec = field(default_factory=lambda: _SOLVER_QUAD)
 
     def __post_init__(self):
         if self.initial_k is not None and self.initial_k < 1:

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad as scipy_quad
+from scipy.optimize import brentq
 from scipy.signal import find_peaks
+from scipy.special import erfc, logsumexp
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -150,6 +152,69 @@ def quad_oracle(f, lo, hi, **kwargs) -> float:
     """scipy QUADPACK integral, used as the independent quadrature route."""
     val, _ = scipy_quad(f, lo, hi, limit=400, epsabs=1e-12, epsrel=1e-12, **kwargs)
     return val
+
+
+def uniform_density(A: float, y):
+    """Density of Unif[-A, A] + N(0, 1) at y, from erfc at |y| (both tails exact)."""
+    t = np.abs(np.asarray(y, dtype=float)) / math.sqrt(2.0)
+    return 0.5 * (erfc(t - A / math.sqrt(2.0)) - erfc(t + A / math.sqrt(2.0))) / (2.0 * A)
+
+
+def mixture_pdf(locations, weights, y):
+    """sum_j w_j phi(y - x_j), evaluated directly."""
+    y = np.asarray(y, dtype=float)
+    locations = np.asarray(locations, dtype=float)
+    return (np.asarray(weights) * phi(y[..., None] - locations)).sum(axis=-1)
+
+
+def quadpack_tv(A: float, locations, weights, pitch: float = 1e-3) -> float:
+    """TV between the mixture and the smoothed uniform law on [-A, A], by QUADPACK.
+
+    The sign changes of g = p - q are bracketed on a grid of ``pitch`` over
+    [-A'-12, A'+12], A' = max(A, max|x_j|), and refined by brentq; QUADPACK
+    then integrates the smooth g between adjacent sign changes, so no
+    integral sees a kink.
+    """
+    def g(y):
+        return mixture_pdf(locations, weights, y) - uniform_density(A, y)
+
+    span = max(A, float(np.max(np.abs(locations)))) + 12.0
+    y = np.linspace(-span, span, int(math.ceil(2.0 * span / pitch)) + 1)
+    positive = g(y) >= 0.0
+    roots = [brentq(g, y[i], y[i + 1], xtol=1e-15, rtol=1e-15)
+             for i in np.nonzero(positive[:-1] != positive[1:])[0]]
+    edges = [-span, *roots, span]
+    pieces = [scipy_quad(g, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+              for a, b in zip(edges, edges[1:])]
+    return 0.5 * float(np.abs(pieces).sum())
+
+
+def quadpack_uniform_information(A: float) -> float:
+    """I(X;Y) in nats for X ~ Unif[-A, A]: h(f_unif) - log(2 pi e)/2 by QUADPACK."""
+    def neg_f_log_f(y):
+        f = float(uniform_density(A, y))
+        return -f * math.log(f) if f > 0.0 else 0.0
+
+    h = sum(scipy_quad(neg_f_log_f, a, b, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
+            for a, b in ((-A - 12.0, -A), (-A, A), (A, A + 12.0)))
+    return h - 0.5 * math.log(2.0 * math.pi * math.e)
+
+
+def quadpack_divergence_from_uniform(A: float, locations, weights) -> float:
+    """D(f_unif || f) in nats for the mixture f of the atoms, by QUADPACK."""
+    locations = np.asarray(locations, dtype=float)
+    log_w = np.log(np.asarray(weights, dtype=float))
+
+    def integrand(y):
+        q = float(uniform_density(A, y))
+        if q <= 0.0:
+            return 0.0
+        log_f = logsumexp(log_w - 0.5 * (y - locations) ** 2) - 0.5 * math.log(2.0 * math.pi)
+        return q * (math.log(q) - log_f)
+
+    return sum(scipy_quad(integrand, a, b, points=[x for x in locations if a < x < b],
+                          epsabs=1e-13, epsrel=1e-12, limit=800)[0]
+               for a, b in ((-A - 12.0, -A), (-A, A), (A, A + 12.0)))
 
 
 def mc_mutual_information(locations, weights, n_samples: int, seed: int) -> tuple[float, float]:

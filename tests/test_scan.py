@@ -7,10 +7,12 @@ import pytest
 
 from acawgn import (
     CSV_COLUMNS,
+    DiscreteInput,
     QuadratureNonConvergence,
     ScanRecord,
     SolveConfig,
     bulk_sup_deviation,
+    certificate_report,
     dytso_lower_bound,
     fit_scaling,
     mixture_density,
@@ -21,7 +23,6 @@ from acawgn import (
     std_normal_cdf,
     theorem2_probe,
     tv_distance,
-    uniform_output,
 )
 
 from oracles import quad_oracle
@@ -165,6 +166,22 @@ class TestScanGridProperties:
             scan([0.5, 0.7], SolveConfig(seed=1))
 
 
+class TestNoAdaptiveQuadrature:
+    def test_tv_paths_run_no_adaptive_quadrature(self, monkeypatch):
+        # measured TV, the scan's tv_uniform and the probe's parts all come
+        # from closed-form CDFs
+        import acawgn.numerics as numerics
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called on a TV path")
+
+        monkeypatch.setattr(numerics, "_eval_panels", refuse)
+        pi = DiscreteInput(A=3.0, locations=(-3.0, 0.0, 3.0), weights=(0.4, 0.2, 0.4))
+        assert certificate_report(pi, measure_tv=True).measured_tv > 0.0
+        assert all(r.converged and r.tv_uniform > 0.0 for r in scan([4.0, 5.0]))
+        assert all(part > 0.0 for part in theorem2_probe(4.0))
+
+
 class TestTheorem2Probe:
     def test_requires_large_amplitude(self):
         with pytest.raises(ValueError):
@@ -174,10 +191,10 @@ class TestTheorem2Probe:
         cfg, report = solved_a4
         left, middle, right = theorem2_probe(4.0, cfg, solution=report.input)
         assert left >= 0 and middle >= 0 and right >= 0
-        total = tv_distance(mixture_density(report.input), uniform_output(4.0), cfg.quad)
-        assert left + middle + right == pytest.approx(total, abs=1e-8)
+        total = tv_distance(report.input)
+        assert left + middle + right == pytest.approx(total, abs=1e-13)
         # symmetric input: the two tails match
-        assert left == pytest.approx(right, abs=1e-9)
+        assert left == pytest.approx(right, abs=1e-13)
 
     def test_middle_below_bulk_deviation(self, solved_a4):
         cfg, report = solved_a4

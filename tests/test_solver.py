@@ -297,3 +297,27 @@ class TestSolveCapacity:
         assert rep.k == ba.support_count
         # BA underestimates the grid capacity by at most its duality gap
         assert abs(rep.capacity_nats - ba.capacity_nats) <= ba.duality_gap + 1e-4
+
+
+class TestIndependentCapacityBrackets:
+    """C(A) between brackets that QUADPACK and closed forms give, with no BA.
+
+    None of the bracket values uses acawgn's quadrature.  They are coarse:
+    they catch a wrong regime, a wrong sign or a broken density, not a 1e-9
+    drift.
+    """
+
+    @pytest.mark.parametrize("A", [8.0, 20.0, 40.0])
+    def test_uniform_mckellips_and_saddle_point_brackets(self, A):
+        from oracles import quadpack_divergence_from_uniform, quadpack_uniform_information
+
+        rep = solve_capacity(A, SolveConfig(max_k=60))
+        assert rep.converged
+        C = rep.capacity_nats
+        i_unif = quadpack_uniform_information(A)
+        # the uniform input is feasible; McKellips (ISIT 2004) bounds C above
+        assert i_unif <= C <= math.log1p(A * math.sqrt(2.0 / (math.pi * math.e)))
+        # saddle point: averaging i(x) <= C + r_global over Unif[-A, A] gives
+        # I_unif + D(f_unif || f*) <= C + r_global
+        div = quadpack_divergence_from_uniform(A, *rep.input.as_arrays())
+        assert div <= C + rep.kkt_global - i_unif
