@@ -240,18 +240,22 @@ def adaptive_quad(
 # densities are below 1e-31.  A cell that cannot be shown to hold no root,
 # or exactly one, is split _TV_SPLIT ways, until a pair of roots it might
 # still hide would enclose less than _TV_MISSED_AREA of |g|.  Each bracket
-# is then bisected _TV_BISECTIONS times: D' = g vanishes at a root, so a
-# root off by delta moves D by O(delta^2) only.  Splitting stops early once
-# the unsettled cells times K pass _TV_MAX_WORK, which bounds time and
-# memory: that happens only where p - q stays at rounding level over long
-# stretches (a dense equispaced input, say), and the cells are then taken
-# as they stand.  The benchmark's certify-batch inputs stay below a
-# thirtieth of it.
+# is then cut _TV_SECTIONS ways, _TV_ROUNDS times, keeping the first piece
+# whose ends differ in sign, so that every bracket still holds a sign change
+# and shrinks 16^8 = 2^32-fold.  A typical input has a few brackets, where a
+# call of g costs its overhead, not its arithmetic; so few calls on 15 points
+# per bracket beat many on one.  D' = g vanishes at a root, so a root off by
+# delta moves D by O(delta^2) only.
+# Splitting stops early once the unsettled cells times K pass _TV_MAX_WORK,
+# which bounds time and memory: that happens only where p - q stays at
+# rounding level over long stretches (a dense equispaced input, say), and
+# the cells are then taken as they stand.  The benchmark's certify-batch
+# inputs stay below a thirtieth of it.
 _TV_PITCH = 0.25
 _TV_PAD = 12.0
 _TV_SPLIT = 4
 _TV_MISSED_AREA = 1e-17
-_TV_BISECTIONS = 30
+_TV_SECTIONS, _TV_ROUNDS = 16, 8
 _TV_MAX_WORK = 1 << 18
 
 
@@ -321,10 +325,11 @@ def _tv_roots(A: float, locs, ws) -> np.ndarray:
         ga, gb = gt[:, :-1].ravel(), gt[:, 1:].ravel()
     a, b, ga = (np.concatenate(col) for col in zip(*brackets))
     positive, w = ga >= 0.0, b - a
-    for _ in range(_TV_BISECTIONS):
-        w = 0.5 * w
-        m = a + w
-        a = np.where((_mixture_minus_uniform(A, locs, ws, m) >= 0.0) == positive, m, a)
+    for _ in range(_TV_ROUNDS):
+        t = a[:, None] + w[:, None] * (np.arange(1, _TV_SECTIONS) / _TV_SECTIONS)
+        same = (_mixture_minus_uniform(A, locs, ws, t.ravel()) >= 0.0).reshape(t.shape)
+        w = w / _TV_SECTIONS
+        a = a + w * np.logical_and.accumulate(same == positive[:, None], axis=1).sum(axis=1)
     return np.sort(a + 0.5 * w)
 
 

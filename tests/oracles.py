@@ -279,3 +279,32 @@ def adaptive_kkt_residual(pi, grid_points: int = 2001, abs_tol: float = 1e-13):
         [np.linspace(grid[j] - step, grid[j] + step, 21) for j in peaks]), -pi.A, pi.A)
     best = max(float(i_grid.max()), float(info_at(refine).max()))
     return float(np.max(np.abs(i_vec - info))), max(0.0, best - info)
+
+
+def every_window_kkt_scan(pi, grid_points: int = 2001):
+    """(r_support, r_global, x of the best value, x of the grid maximum) of ``pi``.
+
+    The library's KKT scan with nothing pruned and no FFT: i(x) one point at
+    a time through ``marginal_information_density`` on the same grid, then
+    the same 21-point window around *every* discrete local maximum of i.
+    """
+    from acawgn import marginal_information_density
+
+    def info_at(xs):
+        return np.array([marginal_information_density(pi, float(x)) for x in xs])
+
+    locs, ws = pi.as_arrays()
+    i_vec = info_at(locs)
+    info = float(ws @ i_vec)
+    grid = np.linspace(-pi.A, pi.A, grid_points)
+    i_grid = info_at(grid)
+    padded = np.concatenate([[-np.inf], i_grid, [-np.inf]])
+    peaks = np.nonzero((i_grid >= padded[:-2]) & (i_grid >= padded[2:]))[0]
+    step = grid[1] - grid[0]
+    refine = np.clip(np.concatenate(
+        [np.linspace(grid[j] - step, grid[j] + step, 21) for j in peaks]), -pi.A, pi.A)
+    xs = np.concatenate([grid, refine])
+    vals = np.concatenate([i_grid, info_at(refine)])
+    j = int(np.argmax(vals))
+    return (float(np.max(np.abs(i_vec - info))), max(0.0, float(vals[j]) - info),
+            float(xs[j]), float(grid[np.argmax(i_grid)]))

@@ -16,10 +16,16 @@ from acawgn import (
     marginal_information_density,
     mixture_density,
     mutual_information,
+    solve_capacity,
     std_normal_pdf,
 )
 
-from oracles import adaptive_kkt_residual, mc_mutual_information, quad_oracle
+from oracles import (
+    adaptive_kkt_residual,
+    every_window_kkt_scan,
+    mc_mutual_information,
+    quad_oracle,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -192,6 +198,16 @@ WIDE_GAP_INPUTS = [
 ]
 
 
+def _route_input(A, K, seed):
+    rng = np.random.default_rng(seed)
+    return DiscreteInput.normalized(A, np.sort(rng.uniform(-A, A, K)), rng.dirichlet(np.ones(K)))
+
+
+# Random inputs whose trapezoid pitch spans 200, 6.8 and 1.2 steps of the
+# 2001-point x-grid: interpolation factors m = 200, 6 and 1.
+ROUTE_INPUTS = [_route_input(1.25, 2, 3), _route_input(12.0, 9, 16), _route_input(40.0, 30, 40)]
+
+
 def _quadpack_info_stats(pi):
     """I, every i(x_j) and every dI/dx_j of ``pi`` by scipy's QUADPACK."""
     locs, ws = pi.as_arrays()
@@ -230,16 +246,35 @@ class TestTrapezoidRule:
             assert got == pytest.approx(want, abs=1e-10), report.A
 
     def test_fft_and_direct_routes_agree(self, monkeypatch):
-        rng = np.random.default_rng(16)
-        A = 12.0
-        pi = DiscreteInput.normalized(A, np.sort(rng.uniform(-A, A, 9)), rng.dirichlet(np.ones(9)))
-        scans = []
-        for ratio in (1e9, 0):   # FFT at any pitch ratio, then direct sums only
-            monkeypatch.setattr(inputs, "_FFT_MAX_RATIO", ratio)
-            scans.append(inputs._kkt_scan(pi, 2001))
-        fft, direct = scans
-        assert fft[1] > 1e-3
-        assert fft[:2] == pytest.approx(direct[:2], abs=1e-12)
+        for pi in WIDE_GAP_INPUTS + ROUTE_INPUTS:
+            scans = []
+            for ratio in (1e9, 0):   # FFT at any pitch ratio, then direct sums only
+                monkeypatch.setattr(inputs, "_FFT_MAX_RATIO", ratio)
+                scans.append(inputs._kkt_scan(pi, 2001))
+            fft, direct = scans
+            assert fft[1] > 1e-3
+            assert fft[:2] == pytest.approx(direct[:2], rel=1e-15, abs=1e-12), (pi.A, pi.k)
+            assert fft[2] == direct[2]
+            # The residuals depend on the interpolated i(x) only through its
+            # ordering, so compare the values too: to 1e-12, or to 1e-14 of the
+            # largest value where |i| reaches 1e3 (wide gaps at A = 60).
+            i_fft, y, lf, pitch = _interpolated_i(pi, 2001)
+            i_direct, _ = inputs._marginal_info_batch(y, lf, pitch, np.linspace(-pi.A, pi.A, 2001))
+            scale = max(100.0, np.abs(i_direct).max())
+            assert np.max(np.abs(i_fft - i_direct)) <= 1e-14 * scale, (pi.A, pi.k)
+
+    def test_row_by_row_sums_match_the_matrix_product(self, monkeypatch):
+        pi = WIDE_GAP_INPUTS[3]
+        locs, ws = pi.as_arrays()
+        pitch = inputs._pitch(locs)
+        y, lf = inputs._samples(pi.A, locs, ws, pitch)
+        xs = np.linspace(-pi.A, pi.A, 37)
+        assert inputs._CHUNK // y.size > 1
+        rows = inputs._marginal_info_batch(y, lf, pitch, xs, moment=True)
+        monkeypatch.setattr(inputs, "_CHUNK", 8)   # below one row: one row at a time
+        one_by_one = inputs._marginal_info_batch(y, lf, pitch, xs, moment=True)
+        for got, want in zip(one_by_one, rows):
+            assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_coarse_pitch_fails_the_pitch_check(self, monkeypatch):
         pi = DiscreteInput(A=8.0, locations=(-8.0, -3.0, 2.5, 8.0), weights=(0.3, 0.2, 0.2, 0.3))
@@ -247,3 +282,48 @@ class TestTrapezoidRule:
         monkeypatch.setattr(inputs, "_pitch", lambda locs: 1.5)
         with pytest.raises(QuadratureNonConvergence):
             inputs._kkt_scan(pi, 2001)
+
+
+def _interpolated_i(pi, n):
+    """i(x) on n equispaced points of [-A, A] as the KKT scan interpolates it, with its samples."""
+    locs, ws = pi.as_arrays()
+    h = inputs._pitch(locs)
+    step = 2.0 * pi.A / (n - 1)
+    every = math.ceil(step / h)
+    m = max(1, int(h * every / step))
+    pitch = step / every * m
+    y, lf = inputs._samples(pi.A, locs, ws, pitch)
+    return inputs._convolved_info(lf, pitch, m, every, n), y, lf, pitch
+
+
+class TestKktRefinement:
+    """Only refinement windows that cannot hold the maximum are skipped."""
+
+    def test_second_derivative_of_i_is_at_most_one(self):
+        # (log f)'' = Var(X | Y) - 1 >= -1, so i'' <= 1: the premise of pruning.
+        solved = [solve_capacity(A).input for A in (2.0, 8.0, 20.0)]
+        rng = np.random.default_rng(19)
+        randoms = [random_input(rng, k_max=8, a_lo=1.0, a_hi=30.0) for _ in range(12)]
+        for pi in WIDE_GAP_INPUTS + solved + randoms:
+            step = 2.0 * pi.A / 4000
+            second = np.diff(_interpolated_i(pi, 4001)[0], 2) / (step * step)
+            assert second.max() <= 1.0 + 1e-6, (pi.A, pi.k)
+
+    @staticmethod
+    def _near_tie():
+        # Two interior peaks of i, 3e-7 apart: the grid sees the left one higher,
+        # since the right one sits farther from its nearest grid point.
+        w = 9.732864196044135e-08
+        return DiscreteInput(A=6.0, locations=(-5.8985, -1.1985, 1.2015, 5.9015),
+                             weights=(0.3 + w, 0.2, 0.2, 0.3 - w))
+
+    def test_pruned_scan_matches_every_window(self):
+        rng = np.random.default_rng(1919)
+        pis = [random_input(rng, k_max=7, a_lo=3.0, a_hi=12.0) for _ in range(6)]
+        for pi in pis + [self._near_tie()]:
+            r_support, r_global, x_best, x_grid = every_window_kkt_scan(pi)
+            got = inputs._kkt_scan(pi, 2001)
+            assert got[:2] == pytest.approx((r_support, r_global), abs=1e-12), (pi.A, pi.k)
+            assert got[2] == pytest.approx(x_best, abs=1e-12)
+        # The near tie's best value lies outside the window of its grid maximum.
+        assert x_best > 3.0 and x_grid < -3.0
