@@ -9,7 +9,11 @@ machine-readable tables (CSV with a fixed header, or JSON), log-log
 scaling-law fits of K_A against A, and a three-way split of the TV integral
 (tails / bulk) that mirrors how the bulk flatness controls the distance.
 
-Scans are deterministic and solve the amplitudes in grid order.
+Scans are deterministic and solve the amplitudes in grid order, with
+continuation in A: each row's solve starts from the previous row's
+certified input, its atoms scaled to the new amplitude (``solve_capacity``'s
+``start``).  The first row, and a row after an ``error`` or ``unconverged``
+one, is solved cold.
 """
 
 from __future__ import annotations
@@ -150,9 +154,11 @@ def _validate_grid(a_grid) -> list[float]:
     return grid
 
 
-def _scan_one(A: float, config: SolveConfig) -> tuple[ScanRecord, SolveReport | None]:
+def _scan_one(
+    A: float, config: SolveConfig, start: DiscreteInput | None = None
+) -> tuple[ScanRecord, SolveReport | None]:
     try:
-        report = solve_capacity(A, config)
+        report = solve_capacity(A, config, start=start)
         pi = report.input
         tv = tv_distance(pi, A)
         if A > 1.0:
@@ -188,13 +194,20 @@ def scan_detailed(
 
     An amplitude whose quadrature does not converge is recorded with status
     ``error`` and does not abort the scan; any other exception is a bug and
-    propagates.  Output order follows the grid.
+    propagates.  Output order follows the grid.  Each row after an ``ok``
+    row is warm-started from that row's input (continuation in A); the
+    others are solved cold.
     """
     grid = _validate_grid(a_grid)
     cfg = config or SolveConfig()
-    pairs = [_scan_one(a, cfg) for a in grid]
-    records = [p[0] for p in pairs]
-    reports = [p[1] for p in pairs]
+    records: list[ScanRecord] = []
+    reports: list[SolveReport | None] = []
+    start = None
+    for a in grid:
+        record, report = _scan_one(a, cfg, start)
+        records.append(record)
+        reports.append(report)
+        start = report.input if record.status == STATUS_OK else None
     return records, reports
 
 

@@ -20,11 +20,13 @@ from acawgn import (
     records_to_json,
     scan,
     scan_detailed,
+    solve_capacity,
     std_normal_cdf,
     theorem2_probe,
     tv_distance,
 )
 
+from acawgn.cli import DEFAULT_GRID
 from oracles import quad_oracle
 
 
@@ -143,10 +145,10 @@ class TestScanGridProperties:
         scan_mod = importlib.import_module("acawgn.scan")
         real = scan_mod.solve_capacity
 
-        def flaky(A, config=None):
+        def flaky(A, config=None, *, start=None):
             if A == 0.7:
                 raise QuadratureNonConvergence(np.array([1.0]), np.array([1e-3]))
-            return real(A, config)
+            return real(A, config, start=start)
 
         monkeypatch.setattr(scan_mod, "solve_capacity", flaky)
         records = scan([0.5, 0.7, 0.8], SolveConfig(seed=1))
@@ -158,12 +160,82 @@ class TestScanGridProperties:
 
         scan_mod = importlib.import_module("acawgn.scan")
 
-        def broken(A, config=None):
+        def broken(A, config=None, *, start=None):
             raise TypeError("synthetic bug")
 
         monkeypatch.setattr(scan_mod, "solve_capacity", broken)
         with pytest.raises(TypeError, match="synthetic bug"):
             scan([0.5, 0.7], SolveConfig(seed=1))
+
+
+BENCH_GRID = tuple(0.25 * k for k in range(1, 21))
+
+
+def _cold_k0(A):
+    k0 = math.ceil(dytso_lower_bound(A) - 1e-12)
+    return k0 + 1 if k0 % 2 == 0 else k0
+
+
+class TestContinuation:
+    """Scan rows warm-started from the previous row equal cold solves."""
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, BENCH_GRID], ids=["default", "bench"])
+    def test_rows_match_cold_solves(self, grid):
+        records, reports = scan_detailed(grid)
+        for rec, rep in zip(records, reports):
+            cold = solve_capacity(rec.A)
+            assert rec.status == "ok"
+            assert rep.k == cold.k
+            assert abs(rep.capacity_nats - cold.capacity_nats) <= 1e-12
+
+    @pytest.mark.parametrize("pair", [(21.0, 22.0), (24.0, 25.0)], ids=["A22", "A25"])
+    def test_large_amplitude_rows_agree_within_the_certificate(self, pair):
+        # Two eps-certified inputs may differ in I by up to their r_global:
+        # at A = 25 the warm and cold C differ by 1.2e-8, so 1e-9 does not
+        # hold there (A = 22 agrees to 4e-16).
+        _, reports = scan_detailed(pair)
+        warm, cold = reports[1], solve_capacity(pair[1])
+        assert warm.converged and cold.converged
+        assert warm.history[0].k_tried == reports[0].k
+        assert warm.k == cold.k
+        gap = abs(warm.capacity_nats - cold.capacity_nats)
+        assert gap <= max(warm.kkt_global, cold.kkt_global)
+
+    def _patched_scan(self, monkeypatch, fake_row):
+        import importlib
+
+        scan_mod = importlib.import_module("acawgn.scan")
+        real = scan_mod.solve_capacity
+
+        def fake(A, config=None, *, start=None):
+            return fake_row(real, A, config, start)
+
+        monkeypatch.setattr(scan_mod, "solve_capacity", fake)
+        return scan_detailed([4.0, 4.2, 4.5])
+
+    def test_row_after_error_starts_cold(self, monkeypatch):
+        def fake_row(real, A, config, start):
+            if A == 4.2:
+                raise QuadratureNonConvergence(np.array([1.0]), np.array([1e-3]))
+            return real(A, config, start=start)
+
+        records, reports = self._patched_scan(monkeypatch, fake_row)
+        assert [r.status for r in records] == ["ok", "error", "ok"]
+        assert reports[0].k > _cold_k0(4.5)
+        assert reports[2].history[0].k_tried == _cold_k0(4.5)
+
+    def test_row_after_unconverged_starts_cold(self, monkeypatch):
+        from dataclasses import replace
+
+        def fake_row(real, A, config, start):
+            report = real(A, config, start=start)
+            return replace(report, converged=False) if A == 4.2 else report
+
+        records, reports = self._patched_scan(monkeypatch, fake_row)
+        assert [r.status for r in records] == ["ok", "unconverged", "ok"]
+        assert reports[1].history[0].k_tried == reports[0].k
+        assert reports[1].k > _cold_k0(4.5)
+        assert reports[2].history[0].k_tried == _cold_k0(4.5)
 
 
 class TestNoAdaptiveQuadrature:

@@ -170,6 +170,15 @@ class TestSolveConfig:
             SolveConfig(initial_k=5, max_k=3)
         with pytest.raises(ValueError):
             SolveConfig(kkt_eps=0.0)
+        with pytest.raises(ValueError):
+            SolveConfig(max_k=0)
+
+    def test_default_cap_follows_amplitude(self):
+        assert SolveConfig().max_k_for(5.0) == 40
+        assert SolveConfig().max_k_for(40.0) == 80
+        assert SolveConfig().max_k_for(20.5) == 42
+        assert SolveConfig(initial_k=45).max_k_for(3.0) == 45
+        assert SolveConfig(max_k=10).max_k_for(40.0) == 10
 
 
 class TestSolveCapacity:
@@ -242,6 +251,15 @@ class TestSolveCapacity:
         again = SolveReport.from_dict(d)
         assert all(type(h.k_tried) is int for h in again.history)
 
+    def test_start_sets_first_level(self):
+        start = solve_capacity(4.0).input
+        assert start.k == 4
+        rep = solve_capacity(5.0, start=start)
+        assert rep.history[0].k_tried == 4      # the cold solve starts at 3
+        assert rep.converged and rep.k == solve_capacity(5.0).k
+        capped = solve_capacity(5.0, SolveConfig(max_k=3), start=start)
+        assert capped.history[0].k_tried == 3
+
     def test_max_k_exhaustion_flags_incomplete(self):
         rep = solve_capacity(5.0, SolveConfig(initial_k=2, max_k=2, max_iters=400))
         assert not rep.converged
@@ -311,7 +329,7 @@ class TestIndependentCapacityBrackets:
     def test_uniform_mckellips_and_saddle_point_brackets(self, A):
         from oracles import quadpack_divergence_from_uniform, quadpack_uniform_information
 
-        rep = solve_capacity(A, SolveConfig(max_k=60))
+        rep = solve_capacity(A)
         assert rep.converged
         C = rep.capacity_nats
         i_unif = quadpack_uniform_information(A)
