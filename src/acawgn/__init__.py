@@ -23,17 +23,14 @@ from .inputs import (
     DiscreteInput,
     MixtureDensity,
     kkt_residual,
-    marginal_information_density,
     mixture_density,
     mutual_information,
 )
 from .solver import (
     EscalationStep,
-    GradientVector,
     SolveConfig,
     SolveReport,
     dytso_lower_bound,
-    info_gradient,
     solve_capacity,
     solve_fixed_k,
 )
@@ -48,10 +45,7 @@ from .certificates import (
     moment_matrix,
     numerical_rank,
     rank_route_bound,
-    trig_moment,
     trig_moment_sequence,
-    uniform_moment_matrix,
-    uniform_trig_moment,
 )
 from .scan import (
     CSV_COLUMNS,

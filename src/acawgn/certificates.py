@@ -39,11 +39,8 @@ from .numerics import tv_distance
 __all__ = [
     "CertificateReport",
     "base_frequency",
-    "trig_moment",
     "trig_moment_sequence",
-    "uniform_trig_moment",
     "moment_matrix",
-    "uniform_moment_matrix",
     "numerical_rank",
     "certified_tv_lower_bound_maxnorm",
     "certified_tv_lower_bound_maxnorm_log",
@@ -63,23 +60,6 @@ def base_frequency(A: float) -> float:
     return math.pi / A
 
 
-def trig_moment(pi: DiscreteInput, k: int, delta: float) -> complex:
-    """t_k = E[exp(i*k*delta*X)] = sum_j w_j exp(i*k*delta*x_j), exactly."""
-    locs, ws = pi.as_arrays()
-    return complex(np.sum(ws * np.exp(1j * k * delta * locs)))
-
-
-def uniform_trig_moment(A: float, k: int) -> complex:
-    """Moment of Unif[-A, A] at frequency k*pi/A: exactly 1 if k == 0 else 0.
-
-    Analytically sin(k*pi)/(k*pi); returned as the exact indicator rather
-    than through floating-point sine.
-    """
-    if not (A > 0.0 and math.isfinite(A)):
-        raise ValueError(f"amplitude must be positive and finite, got {A}")
-    return complex(1.0) if k == 0 else complex(0.0)
-
-
 def trig_moment_sequence(pi: DiscreteInput, n: int, delta: float) -> np.ndarray:
     """Moments t_0..t_n of ``pi`` at base frequency ``delta``; t_{-k} = conj(t_k)."""
     if n < 0:
@@ -95,20 +75,12 @@ def moment_matrix(pi: DiscreteInput, n: int, delta: float) -> np.ndarray:
     return toeplitz(np.conj(row), row)
 
 
-def uniform_moment_matrix(A: float, n: int) -> np.ndarray:
-    """Moment matrix of Unif[-A, A] at delta = pi/A: exactly the identity."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    row = np.array([uniform_trig_moment(A, k) for k in range(n + 1)])
-    return toeplitz(np.conj(row), row)
-
-
-def numerical_rank(mat: np.ndarray, rel_threshold: float = RANK_THRESHOLD) -> int:
-    """Number of singular values above rel_threshold * sigma_max."""
+def numerical_rank(mat: np.ndarray) -> int:
+    """Number of singular values above RANK_THRESHOLD * sigma_max."""
     sigma = np.linalg.svd(np.asarray(mat), compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.sum(sigma > rel_threshold * sigma[0]))
+    return int(np.sum(sigma > RANK_THRESHOLD * sigma[0]))
 
 
 def certified_tv_lower_bound_maxnorm_log(pi: DiscreteInput, A: float) -> tuple[float, int]:
@@ -239,18 +211,13 @@ class CertificateReport:
         }
 
 
-def certificate_report(
-    pi: DiscreteInput,
-    A: float | None = None,
-    measure_tv: bool = False,
-) -> CertificateReport:
-    """Assemble every certificate quantity for ``pi`` against Unif[-A, A].
+def certificate_report(pi: DiscreteInput, measure_tv: bool = False) -> CertificateReport:
+    """Assemble every certificate quantity for ``pi`` against Unif[-A, A], A = pi.A.
 
-    ``A`` defaults to the input's own amplitude.  ``measure_tv`` additionally
-    computes TV(f_pi, f_unif_A) from closed-form CDFs (see ``tv_distance``).
+    ``measure_tv`` additionally computes TV(f_pi, f_unif_A) from closed-form
+    CDFs (see ``tv_distance``).
     """
-    if A is None:
-        A = pi.A
+    A = pi.A
     K = pi.k
     delta = base_frequency(A)
     log_mb, argmax_k = certified_tv_lower_bound_maxnorm_log(pi, A)
@@ -260,7 +227,7 @@ def certificate_report(
     rank = numerical_rank(T)
     measured = None
     if measure_tv:
-        measured = tv_distance(pi, A)
+        measured = tv_distance(pi)
     return CertificateReport(
         A=A,
         K=K,

@@ -6,12 +6,10 @@ A ``DiscreteInput`` is a probability mass function on finitely many points of
 the information quantities the capacity machinery runs on:
 
 - ``mutual_information``: I(X;Y) = h(f) - 0.5*log(2*pi*e);
-- ``marginal_information_density``: the pointwise divergence
-  i(x) = KL(phi(.-x) || f), which satisfies I = sum_j w_j * i(x_j) and drives
-  the verification of input optimality;
 - ``kkt_residual``: the pair (max_j |i(x_j) - I|, sup-positive-part of
   i(x) - I over [-A, A]) that certifies optimality when both are below a
-  declared epsilon.
+  declared epsilon.  Here i(x) = KL(phi(.-x) || f) is the marginal
+  information density, which satisfies I = sum_j w_j * i(x_j).
 
 Every information integral here is a trapezoid sum over samples of log f on
 one uniform grid over [-A-10, A+10], at pitch h = min(0.25, 0.5/max_gap)
@@ -49,7 +47,6 @@ __all__ = [
     "MixtureDensity",
     "mixture_density",
     "mutual_information",
-    "marginal_information_density",
     "kkt_residual",
     "MERGE_TOL",
     "PRUNE_TOL",
@@ -81,6 +78,9 @@ _PITCH_TOL = 1e-5
 # and 500 (A = 0.5, a tie) it won or lost with the largest prime factor of
 # the interpolation factor (1.0 against 0.73 ms at A = 0.9, factor 277).
 _FFT_MAX_RATIO = 250
+
+# Points of the KKT scan's equispaced x-grid over [-A, A].
+_KKT_GRID_POINTS = 2001
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,11 @@ class DiscreteInput:
         locations,
         weights,
         merge_tol: float = MERGE_TOL,
-        prune_tol: float = PRUNE_TOL,
     ) -> "DiscreteInput":
         """Canonicalize raw atoms: sort, merge near-coincident, prune, renormalize.
 
         Points closer than ``merge_tol`` are merged into their weighted mean;
-        weights below ``prune_tol`` (after merging) are dropped; the remaining
+        weights below ``PRUNE_TOL`` (after merging) are dropped; the remaining
         weights are rescaled to sum to exactly one.
         """
         locs = np.asarray(locations, dtype=float)
@@ -158,7 +157,7 @@ class DiscreteInput:
         out_w.append(cur_w)
         x_arr = np.array(out_x)
         w_arr = np.array(out_w)
-        keep = w_arr > prune_tol
+        keep = w_arr > PRUNE_TOL
         if not keep.any():
             # Degenerate input (all mass pruned): keep the heaviest atom.
             keep = w_arr == w_arr.max()
@@ -188,8 +187,8 @@ class DiscreteInput:
                    locations=tuple(float(x) for x in d["points"]),
                    weights=tuple(float(w) for w in d["weights"]))
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, s: str) -> "DiscreteInput":
@@ -215,14 +214,6 @@ class MixtureDensity:
         d = np.atleast_1d(y)[None, :] - locs[:, None]
         out = INV_SQRT_2PI * (ws[:, None] * np.exp(-0.5 * d * d)).sum(axis=0)
         return out.reshape(y.shape) if y.ndim else float(out[0])
-
-    def log_pdf(self, y):
-        """log f(y), stable far into the tails (log-sum-exp over components)."""
-        locs, ws = self._arrays
-        y = np.asarray(y, dtype=float)
-        flat = np.atleast_1d(y)
-        lf = _log_mixture(locs, np.log(np.maximum(ws, 1e-300)), flat)
-        return lf.reshape(y.shape) if y.ndim else float(lf[0])
 
 
 def mixture_density(pi: DiscreteInput) -> MixtureDensity:
@@ -322,21 +313,6 @@ def mutual_information(pi: DiscreteInput) -> float:
     return _info_stats(pi.A, *pi.as_arrays())[0]
 
 
-def marginal_information_density(pi: DiscreteInput, x: float) -> float:
-    """i(x; pi) = KL(phi(. - x) || f_pi) in nats, for |x| <= A.
-
-    The divergence of the noise kernel centered at x from the output law;
-    i is >= 0, equals I on the support of an optimal input, and satisfies
-    the mixture identity I = sum_j w_j * i(x_j; pi).
-    """
-    if abs(x) > pi.A + 1e-9:
-        raise ValueError(f"x={x} outside [-A, A] with A={pi.A}")
-    locs, ws = pi.as_arrays()
-    pitch = _pitch(locs)
-    y, lf = _samples(pi.A, locs, ws, pitch)
-    return float(_marginal_info_batch(y, lf, pitch, [float(x)])[0][0])
-
-
 def _convolved_info(lf: np.ndarray, pitch: float, m: int, every: int, n: int) -> np.ndarray:
     """i(x) at x = -A + g*every*pitch/m, g < n, by Fourier interpolation.
 
@@ -357,22 +333,21 @@ def _convolved_info(lf: np.ndarray, pitch: float, m: int, every: int, n: int) ->
     return -HALF_LOG_2PI_E - conv[math.ceil(TAIL_PAD / pitch) * m + every * np.arange(n)]
 
 
-def _kkt_scan(pi: DiscreteInput, grid_points: int) -> tuple[float, float, float]:
+def _kkt_scan(pi: DiscreteInput) -> tuple[float, float, float]:
     """(r_support, r_global, argmax x of the global violation).
 
     log f is sampled once, at the pitch P = m*step/every <= h (m, every
-    integers).  i(x) on the x-grid comes from Fourier interpolation of those
-    samples, or from direct sums when the x-grid is more than _FFT_MAX_RATIO
-    times finer than h.  I, i(x_j) and the refinement windows are direct
-    sums on the same samples.  Raises QuadratureNonConvergence when I at P
-    and at 2P differ by more than _PITCH_TOL.
+    integers, step the pitch of the _KKT_GRID_POINTS-point x-grid).  i(x) on
+    the x-grid comes from Fourier interpolation of those samples, or from
+    direct sums when the x-grid is more than _FFT_MAX_RATIO times finer than
+    h.  I, i(x_j) and the refinement windows are direct sums on the same
+    samples.  Raises QuadratureNonConvergence when I at P and at 2P differ
+    by more than _PITCH_TOL.
     """
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     A = pi.A
     locs, ws = pi.as_arrays()
     h = _pitch(locs)
-    step = 2.0 * A / (grid_points - 1)
+    step = 2.0 * A / (_KKT_GRID_POINTS - 1)
     every = math.ceil(step / h)
     m = max(1, int(h * every / step))
     pitch = step / every * m
@@ -386,9 +361,9 @@ def _kkt_scan(pi: DiscreteInput, grid_points: int) -> tuple[float, float, float]
         raise QuadratureNonConvergence(info, gap)
     r_support = float(np.max(np.abs(i_vec - info)))
 
-    grid = np.linspace(-A, A, grid_points)
+    grid = np.linspace(-A, A, _KKT_GRID_POINTS)
     if _FFT_MAX_RATIO * step >= h:
-        i_grid = _convolved_info(lf, pitch, m, every, grid_points)
+        i_grid = _convolved_info(lf, pitch, m, every, _KKT_GRID_POINTS)
     else:
         i_grid, _ = _marginal_info_batch(y, lf, pitch, grid)
     j_best = int(np.argmax(i_grid))
@@ -415,15 +390,15 @@ def _kkt_scan(pi: DiscreteInput, grid_points: int) -> tuple[float, float, float]
     return r_support, max(0.0, best - info), x_best
 
 
-def kkt_residual(pi: DiscreteInput, grid_points: int = 2001) -> tuple[float, float]:
+def kkt_residual(pi: DiscreteInput) -> tuple[float, float]:
     """Optimality residuals (r_support, r_global) of ``pi`` in nats.
 
     r_support = max_j |i(x_j) - I| measures equalization on the support;
     r_global = max over [-A, A] of (i(x) - I)_+ measures global dominance,
-    evaluated on ``grid_points`` equispaced points plus one refinement pass
+    evaluated on _KKT_GRID_POINTS equispaced points plus one refinement pass
     around each local maximum of i.  ``pi`` is epsilon-optimal when both are
     below epsilon.  Raises QuadratureNonConvergence when the trapezoid
     pitch check fails (see ``_kkt_scan``).
     """
-    r_support, r_global, _ = _kkt_scan(pi, grid_points)
+    r_support, r_global, _ = _kkt_scan(pi)
     return r_support, r_global

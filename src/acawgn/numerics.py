@@ -13,8 +13,8 @@ Everything else in the package reduces to the primitives collected here:
   deviation") of a density against the uniform level ``1/(2A)``;
 - an adaptive Gauss-Kronrod 7/15 quadrature that can integrate a whole
   *family* of integrands on one shared, jointly refined partition.  No
-  command or library routine calls it any more; it remains as a reference
-  integrator for the tests.
+  command or library routine calls it any more, and the tests' oracles use
+  scipy instead; only its own tests and the benchmark's tracer reach it.
 
 All functions are pure and hold no mutable state, so they are safe to call
 concurrently from many threads.
@@ -346,20 +346,17 @@ def _tv_parts(A: float, locs, ws, cuts=()) -> np.ndarray:
     return 0.5 * np.bincount(piece, np.abs(np.diff(D)), minlength=cuts.size + 1)
 
 
-def tv_distance(pi, A: float | None = None) -> float:
+def tv_distance(pi) -> float:
     """TV(f_pi, f_unif_A) between the output of the DiscreteInput ``pi`` and U + Z.
 
-    U ~ Unif[-A, A], Z ~ N(0, 1) and ``A`` defaults to ``pi.A``.  Exact up to
-    rounding, with no quadrature and no tolerance: (1/2) sum |D(r_{i+1}) -
-    D(r_i)| over the sign changes r_i of g = p - q, D the antiderivative of g.
+    U ~ Unif[-A, A] with A = pi.A, and Z ~ N(0, 1).  Exact up to rounding,
+    with no quadrature and no tolerance: (1/2) sum |D(r_{i+1}) - D(r_i)| over
+    the sign changes r_i of g = p - q, D the antiderivative of g.
     """
-    A = pi.A if A is None else A
-    if not (A > 0.0 and math.isfinite(A)):
-        raise ValueError(f"amplitude must be positive and finite, got {A}")
-    return float(_tv_parts(A, *pi.as_arrays()).sum())
+    return float(_tv_parts(pi.A, *pi.as_arrays()).sum())
 
 
-def bulk_sup_deviation(f, A: float, B: float, pitch: float | None = None) -> float:
+def bulk_sup_deviation(f, A: float, B: float) -> float:
     """Grid approximation of sup_{|x| <= B} |2*A*f(x) - 1| for 0 < B < A.
 
     Measures how flat f is against the uniform level 1/(2A) on the bulk
@@ -371,8 +368,7 @@ def bulk_sup_deviation(f, A: float, B: float, pitch: float | None = None) -> flo
         raise ValueError(f"bulk half-width must be positive, got B={B}")
     if not (B < A):
         raise ValueError(f"bulk must sit strictly inside the amplitude: B={B} >= A={A}")
-    if pitch is None:
-        pitch = min(0.01, 1.0 / (10.0 * A))
+    pitch = min(0.01, 1.0 / (10.0 * A))
     n = max(3, int(math.ceil(2.0 * B / pitch)) + 1)
     grid = np.linspace(-B, B, n)
     dev = np.abs(2.0 * A * np.asarray(f(grid), dtype=float) - 1.0)

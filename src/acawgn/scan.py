@@ -160,7 +160,7 @@ def _scan_one(
     try:
         report = solve_capacity(A, config, start=start)
         pi = report.input
-        tv = tv_distance(pi, A)
+        tv = tv_distance(pi)
         if A > 1.0:
             bulk = bulk_sup_deviation(mixture_density(pi), A, A - math.sqrt(A))
         else:

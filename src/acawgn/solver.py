@@ -43,9 +43,7 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "EscalationStep",
-    "GradientVector",
     "dytso_lower_bound",
-    "info_gradient",
     "solve_fixed_k",
     "solve_capacity",
 ]
@@ -102,24 +100,6 @@ class SolveConfig:
 
 
 @dataclass(frozen=True)
-class GradientVector:
-    """Ascent directions of I with respect to the free input coordinates.
-
-    ``d_weights[j] = i(x_j) - I`` is the derivative of I along the
-    renormalization-respecting curve w -> (w + h e_j)/(1 + h); the common
-    constant of the raw partials is immaterial once total mass is fixed.
-    ``d_locations[j]`` is the plain partial dI/dx_j (in nats per unit).
-    """
-
-    d_locations: np.ndarray
-    d_weights: np.ndarray
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.d_locations)) and np.all(np.isfinite(self.d_weights))):
-            raise ValueError("gradient entries must be finite")
-
-
-@dataclass(frozen=True)
 class EscalationStep:
     k_tried: int
     k_support: int
@@ -165,47 +145,6 @@ class SolveReport:
             "seed": self.seed,
             "dytso_lower_bound": dytso_lower_bound(self.A),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolveReport":
-        return cls(
-            A=float(d["A"]),
-            input=DiscreteInput.from_dict(d["input"]),
-            capacity_nats=float(d["capacity_nats"]),
-            k=int(d["K"]),
-            kkt_support=float(d["kkt_support"]),
-            kkt_global=float(d["kkt_global"]),
-            converged=bool(d["converged"]),
-            history=tuple(
-                EscalationStep(
-                    k_tried=int(h["k_tried"]),
-                    k_support=int(h["k_support"]),
-                    info_nats=float(h["info_nats"]),
-                    kkt_support=float(h["kkt_support"]),
-                    kkt_global=float(h["kkt_global"]),
-                    converged=bool(h["converged"]),
-                    # Absent from reports written before these fields existed.
-                    opt_iters=int(h.get("opt_iters", 0)),
-                    opt_status=str(h.get("opt_status", "")),
-                )
-                for h in d.get("history", [])
-            ),
-            wall_time_s=float(d.get("wall_time_s", 0.0)),
-            eps=float(d.get("eps", 1e-6)),
-            seed=int(d.get("seed", 0)),
-        )
-
-
-def info_gradient(pi: DiscreteInput) -> GradientVector:
-    """Analytic gradient of I at ``pi``; matches central finite differences.
-
-    dI/dx_j = -w_j * integral (y - x_j) phi(y - x_j) log f(y) dy  (the
-    conditional-entropy self-term integrates to zero), and the weight entry is
-    i(x_j) - I, the derivative along renormalized weight perturbations.
-    """
-    locs, ws = pi.as_arrays()
-    info, i_vec, d_loc = _info_stats(pi.A, locs, ws, want_locations=True)
-    return GradientVector(d_locations=d_loc, d_weights=i_vec - info)
 
 
 # ----------------------------------------------------------------------------
@@ -304,10 +243,13 @@ def _param_from_input(
 def _objective(p: _Param) -> tuple[float, np.ndarray]:
     """I and its gradient in p's coordinates (x, v), from one trapezoid pass.
 
-    The weight entries are the raw partials dI/dw_j = i(x_j) - 1 +
-    log(2 pi e)/2, folded onto the reduced coordinates; the total-probability
-    equality is left to the optimizer.  SLSQP evaluates this; the name is
-    kept because the benchmark's tracer wraps it.
+    I is returned as sum_j w_j i(x_j).  The gradient is that of
+    h(f) - log(2 pi e)/2, which equals I only on the simplex: its weight
+    entries are the raw partials i(x_j) - 1 + log(2 pi e)/2, folded onto the
+    reduced coordinates, and differ from those of the returned I by
+    log(2 pi e)/2 * c, a multiple of the normal of c . v = 1 that SLSQP's
+    multiplier absorbs.  The name is kept because the benchmark's tracer
+    wraps it.
     """
     locs, ws = p.expand()
     info, i_vec, d_loc = _info_stats(p.A, locs, ws, want_locations=True)
@@ -448,7 +390,7 @@ def solve_capacity(
         pi, info, _, iters, status = solve_fixed_k(
             A, K, cfg, init=pi, prefer_locations=violation
         )
-        r_s, r_g, x_viol = _kkt_scan(pi, 2001)
+        r_s, r_g, x_viol = _kkt_scan(pi)
         passed = r_s <= cfg.kkt_eps and r_g <= cfg.kkt_eps
         history.append(
             EscalationStep(

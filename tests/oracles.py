@@ -3,8 +3,9 @@
 Nothing here is part of the library surface.  The capacity oracle is a
 classical Blahut-Arimoto iteration on a dense input grid with a quantized
 output, deliberately sharing no code with the gradient-based solver; the
-quadrature oracle is scipy's QUADPACK, independent of the library's own
-Gauss-Kronrod implementation.
+quadrature oracles are scipy's QUADPACK (``quad``) and ``quad_vec``, with
+log f by ``logsumexp``, independent of the library's trapezoid sums and of
+its own Gauss-Kronrod implementation.
 """
 
 from __future__ import annotations
@@ -14,11 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad as scipy_quad
+from scipy.integrate import quad_vec
 from scipy.optimize import brentq
 from scipy.signal import find_peaks
 from scipy.special import erfc, logsumexp
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# The library's KKT scan grid: equispaced points over [-A, A].
+KKT_GRID_POINTS = 2001
 
 
 def phi(x):
@@ -167,6 +172,14 @@ def mixture_pdf(locations, weights, y):
     return (np.asarray(weights) * phi(y[..., None] - locations)).sum(axis=-1)
 
 
+def log_mixture_pdf(locations, weights, y):
+    """log sum_j w_j phi(y - x_j) by ``logsumexp``, stable far into the tails."""
+    y = np.asarray(y, dtype=float)
+    d = y[..., None] - np.asarray(locations, dtype=float)
+    return logsumexp(-0.5 * d * d, b=np.asarray(weights, dtype=float), axis=-1) \
+        - 0.5 * math.log(2.0 * math.pi)
+
+
 def quadpack_tv(A: float, locations, weights, pitch: float = 1e-3) -> float:
     """TV between the mixture and the smoothed uniform law on [-A, A], by QUADPACK.
 
@@ -243,34 +256,60 @@ def mc_mutual_information(locations, weights, n_samples: int, seed: int) -> tupl
     return est, se
 
 
-def adaptive_kkt_residual(pi, grid_points: int = 2001, abs_tol: float = 1e-13):
-    """(r_support, r_global) of ``pi`` with every integral by adaptive Gauss-Kronrod.
+def central_differences(fun, z, h: float) -> np.ndarray:
+    """(fun(z + h e_i) - fun(z - h e_i)) / (2h) for every coordinate i of ``z``."""
+    out = np.empty(z.size)
+    for i in range(z.size):
+        step = np.zeros(z.size)
+        step[i] = h
+        out[i] = (fun(z + step) - fun(z - step)) / (2.0 * h)
+    return out
 
-    The library's KKT scan with its trapezoid sums replaced by
-    ``adaptive_quad_family`` over [-A-12, A+12] (relative tolerance 1e-12):
-    the same 2001-point grid and the same 21-point windows around every
-    discrete local maximum of i(x).
+
+def tangent_part(g, c) -> np.ndarray:
+    """``g`` with its component along the constraint normal ``c`` removed."""
+    return g - c * (c @ g) / (c @ c)
+
+
+def random_param(rng, has_center: bool):
+    """A random symmetric optimizer state (``acawgn.solver._Param``) at A in [0.8, 4].
+
+    One or two pairs at least 0.05 apart from each other and from their
+    mirror images, and weights with total probability one.
     """
-    from acawgn import QuadratureSpec, adaptive_quad_family, mixture_density
+    from acawgn.solver import _Param
 
-    spec = QuadratureSpec(abs_tol=abs_tol, rel_tol=1e-12)
+    A = float(rng.uniform(0.8, 4.0))
+    m = int(rng.integers(1, 3))
+    x = np.sort(rng.uniform(0.05 * A, 0.9 * A, m))
+    while np.min(np.diff(x), initial=1.0) < 0.05 or x[0] < 0.05:
+        x = np.sort(rng.uniform(0.05 * A, 0.9 * A, m))
+    c = np.full(m + has_center, 2.0)
+    c[:has_center] = 1.0
+    return _Param(A, has_center, x, rng.dirichlet(np.full(c.size, 2.0)) / c)
+
+
+def quad_vec_kkt_residual(pi):
+    """(r_support, r_global) of ``pi`` with every integral by ``scipy.integrate.quad_vec``.
+
+    The library's KKT scan with its trapezoid sums replaced by one adaptive
+    ``quad_vec`` integral over [-A-12, A+12] per set of points (tolerances
+    1e-13 absolute and 1e-12 relative in the max norm), log f by
+    ``logsumexp``: the same 2001-point grid and the same 21-point windows
+    around every discrete local maximum of i(x).
+    """
+    locs, ws = pi.as_arrays()
     half_log_2pi_e = 0.5 * (math.log(2.0 * math.pi) + 1.0)
-    log_f = mixture_density(pi).log_pdf
     lo, hi = -pi.A - 12.0, pi.A + 12.0
 
     def info_at(xs):
-        out = []
-        for start in range(0, xs.size, 256):
-            xs_c = xs[start:start + 256]
-            vals, _ = adaptive_quad_family(
-                lambda y: phi(y[None, :] - xs_c[:, None]) * log_f(y)[None, :], lo, hi, spec)
-            out.append(-half_log_2pi_e - vals)
-        return np.concatenate(out)
+        vals, _ = quad_vec(lambda y: phi(y - xs) * log_mixture_pdf(locs, ws, y), lo, hi,
+                           epsabs=1e-13, epsrel=1e-12, norm="max")
+        return -half_log_2pi_e - vals
 
-    locs, ws = pi.as_arrays()
     i_vec = info_at(locs)
     info = float(ws @ i_vec)
-    grid = np.linspace(-pi.A, pi.A, grid_points)
+    grid = np.linspace(-pi.A, pi.A, KKT_GRID_POINTS)
     i_grid = info_at(grid)
     padded = np.concatenate([[-np.inf], i_grid, [-np.inf]])
     peaks = np.nonzero((i_grid >= padded[:-2]) & (i_grid >= padded[2:]))[0]
@@ -281,22 +320,26 @@ def adaptive_kkt_residual(pi, grid_points: int = 2001, abs_tol: float = 1e-13):
     return float(np.max(np.abs(i_vec - info))), max(0.0, best - info)
 
 
-def every_window_kkt_scan(pi, grid_points: int = 2001):
+def every_window_kkt_scan(pi):
     """(r_support, r_global, x of the best value, x of the grid maximum) of ``pi``.
 
-    The library's KKT scan with nothing pruned and no FFT: i(x) one point at
-    a time through ``marginal_information_density`` on the same grid, then
-    the same 21-point window around *every* discrete local maximum of i.
+    The library's KKT scan with nothing pruned and no FFT: log f sampled once
+    at the pitch ``_pitch(locs)``, i(x) by direct sums over those samples on
+    the same grid, then the same 21-point window around *every* discrete
+    local maximum of i.
     """
-    from acawgn import marginal_information_density
-
-    def info_at(xs):
-        return np.array([marginal_information_density(pi, float(x)) for x in xs])
+    from acawgn.inputs import _marginal_info_batch, _pitch, _samples
 
     locs, ws = pi.as_arrays()
+    pitch = _pitch(locs)
+    y, lf = _samples(pi.A, locs, ws, pitch)
+
+    def info_at(xs):
+        return _marginal_info_batch(y, lf, pitch, xs)[0]
+
     i_vec = info_at(locs)
     info = float(ws @ i_vec)
-    grid = np.linspace(-pi.A, pi.A, grid_points)
+    grid = np.linspace(-pi.A, pi.A, KKT_GRID_POINTS)
     i_grid = info_at(grid)
     padded = np.concatenate([[-np.inf], i_grid, [-np.inf]])
     peaks = np.nonzero((i_grid >= padded[:-2]) & (i_grid >= padded[2:]))[0]

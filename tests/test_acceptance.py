@@ -13,24 +13,26 @@ import pytest
 
 from acawgn import (
     DiscreteInput,
-    QuadratureSpec,
-    adaptive_quad,
     base_frequency,
     certified_tv_lower_bound_maxnorm,
     closed_form_bound,
     dytso_lower_bound,
     fit_scaling,
-    info_gradient,
     moment_matrix,
-    mutual_information,
     numerical_rank,
     theorem2_probe,
     tv_distance,
-    uniform_trig_moment,
 )
 from acawgn.cli import main
+from acawgn.solver import _objective
 
-from oracles import blahut_arimoto_capacity
+from oracles import (
+    blahut_arimoto_capacity,
+    central_differences,
+    quad_oracle,
+    random_param,
+    tangent_part,
+)
 
 
 def _report(num, ok, detail):
@@ -74,21 +76,18 @@ class TestAcceptance:
         )
 
     def test_criterion_03_uniform_moment_identity(self):
-        spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
         worst = 0.0
         for A in (2.0, 5.0, 10.0):
             for k in range(1, 41):
                 w = k * math.pi / A
-                re = adaptive_quad(lambda x: np.cos(w * x) / (2 * A), -A, A, spec)
-                im = adaptive_quad(lambda x: np.sin(w * x) / (2 * A), -A, A, spec)
+                re = quad_oracle(lambda x: 1.0 / (2 * A), -A, A, weight="cos", wvar=w)
+                im = quad_oracle(lambda x: 1.0 / (2 * A), -A, A, weight="sin", wvar=w)
                 worst = max(worst, abs(complex(re, im)))
-                assert uniform_trig_moment(A, k) == 0.0 + 0.0j
-            assert uniform_trig_moment(A, 0) == 1.0 + 0.0j
         ok = worst <= 1e-12
         assert _report(
             3, ok,
-            f"numerical uniform moments vanish (max |integral| = {worst:.2e} "
-            "over k = 1..40, A in {2, 5, 10}); analytic routine exact",
+            f"uniform moments vanish by QUADPACK (max |integral| = {worst:.2e} "
+            "over k = 1..40, A in {2, 5, 10})",
         )
 
     def test_criterion_04_moment_matrix_rank(self):
@@ -180,45 +179,26 @@ class TestAcceptance:
         )
 
     def test_criterion_08_gradient_vs_finite_differences(self):
+        # SLSQP's objective: locations as they are, weights in the tangent
+        # space of c . v = 1 (see _objective)
         rng = np.random.default_rng(808)
         t0 = time.perf_counter()
-        h = 1e-5
         worst = 0.0
-        for _ in range(20):
-            K = int(rng.integers(2, 6))
-            A = float(rng.uniform(0.8, 4.0))
-            locs = np.sort(rng.uniform(-A * 0.9, A * 0.9, K))
-            while np.min(np.diff(locs)) < 0.05:
-                locs = np.sort(rng.uniform(-A * 0.9, A * 0.9, K))
-            w = rng.dirichlet(np.ones(K) * 2)
-            pi = DiscreteInput.normalized(A, locs, w)
-            g = info_gradient(pi)
-            locs_a, w_a = pi.as_arrays()
-            for j in range(pi.k):
-                lp, lm = locs_a.copy(), locs_a.copy()
-                lp[j] += h
-                lm[j] -= h
-                fd_x = (
-                    mutual_information(DiscreteInput(A, tuple(lp), pi.weights))
-                    - mutual_information(DiscreteInput(A, tuple(lm), pi.weights))
-                ) / (2 * h)
-                wp, wm = w_a.copy(), w_a.copy()
-                wp[j] += h
-                wm[j] -= h
-                fd_w = (
-                    mutual_information(DiscreteInput(A, pi.locations, tuple(wp / wp.sum())))
-                    - mutual_information(DiscreteInput(A, pi.locations, tuple(wm / wm.sum())))
-                ) / (2 * h)
-                for got, want in ((g.d_locations[j], fd_x), (g.d_weights[j], fd_w)):
-                    err = abs(got - want)
-                    rel = err / max(abs(want), 1e-30)
-                    worst = max(worst, min(err / 1e-8, rel / 1e-5))
-                    assert err <= 1e-8 or rel <= 1e-5, (got, want)
+        for n in range(20):
+            p = random_param(rng, has_center=n % 2 == 1)
+            _, grad = _objective(p)
+            fd = central_differences(lambda z: _objective(p.with_coords(z))[0],
+                                     np.concatenate([p.x, p.v]), 1e-5)
+            m, c = p.x.size, p.weight_constraint()
+            err_x = np.max(np.abs(grad[:m] - fd[:m]))
+            err_v = np.max(np.abs(tangent_part(grad[m:] - fd[m:], c)))
+            worst = max(worst, err_x / 1e-8, err_v / 1e-8)
+            assert err_x <= 1e-8 and err_v <= 1e-8, (err_x, err_v)
         elapsed = time.perf_counter() - t0
         ok = elapsed <= 20.0
         assert _report(
             8, ok,
-            f"analytic gradient matches central differences on 20 inputs "
+            f"SLSQP objective's gradient matches central differences on 20 inputs "
             f"(worst normalized error {worst:.3f} of budget), {elapsed:.1f}s",
         )
 

@@ -8,8 +8,6 @@ import pytest
 
 from acawgn import (
     DiscreteInput,
-    QuadratureSpec,
-    adaptive_quad,
     base_frequency,
     certificate_report,
     certified_tv_lower_bound_maxnorm,
@@ -19,12 +17,11 @@ from acawgn import (
     moment_matrix,
     numerical_rank,
     rank_route_bound,
-    trig_moment,
     trig_moment_sequence,
     tv_distance,
-    uniform_moment_matrix,
-    uniform_trig_moment,
 )
+
+from oracles import quad_oracle
 
 QUARTER_EXP_M2PI2 = 6.6882199776855992e-10  # (1/4) exp(-2 pi^2), 40-digit value
 SQRT6 = 2.4494897427831781
@@ -40,27 +37,38 @@ def random_input(rng, k_lo=1, k_hi=8, a_lo=1.0, a_hi=10.0):
     return DiscreteInput.normalized(A, locs, w)
 
 
+def _moment(pi, k, delta):
+    """t_k = sum_j w_j exp(i*k*delta*x_j), one term at a time."""
+    return sum(w * cmath.exp(1j * k * delta * x) for x, w in zip(pi.locations, pi.weights))
+
+
+def _mirror(pi):
+    return DiscreteInput(A=pi.A, locations=tuple(-x for x in reversed(pi.locations)),
+                         weights=tuple(reversed(pi.weights)))
+
+
 class TestTrigMoment:
     def test_total_mass(self):
         pi = DiscreteInput(A=2.0, locations=(-1.0, 0.5), weights=(0.25, 0.75))
-        assert trig_moment(pi, 0, base_frequency(2.0)) == 1.0 + 0.0j
+        assert trig_moment_sequence(pi, 0, base_frequency(2.0))[0] == 1.0 + 0.0j
 
     def test_symmetric_pair_cosine(self):
         pi = DiscreteInput(A=1.0, locations=(-1.0, 1.0), weights=(0.5, 0.5))
         delta = 0.73
-        for k in range(-5, 6):
-            expected = math.cos(k * delta)
-            assert trig_moment(pi, k, delta) == pytest.approx(expected, abs=1e-15)
+        seq = trig_moment_sequence(pi, 5, delta)
+        for k in range(6):
+            assert seq[k] == pytest.approx(math.cos(k * delta), abs=1e-15)
 
     def test_characteristic_properties(self):
+        # |t_k| <= 1, and the moments of -X are t_{-k} = conj(t_k)
         rng = np.random.default_rng(41)
         for _ in range(20):
             pi = random_input(rng)
             delta = base_frequency(pi.A)
-            k = int(rng.integers(-40, 41))
-            t_k = trig_moment(pi, k, delta)
-            assert abs(t_k) <= 1.0 + 1e-12
-            assert t_k == pytest.approx(trig_moment(pi, -k, delta).conjugate(), abs=1e-14)
+            seq = trig_moment_sequence(pi, 40, delta)
+            assert np.all(np.abs(seq) <= 1.0 + 1e-12)
+            mirrored = trig_moment_sequence(_mirror(pi), 40, delta)
+            assert np.allclose(mirrored, np.conj(seq), rtol=0, atol=1e-14)
 
     def test_sequence_accessor(self):
         pi = DiscreteInput(A=1.5, locations=(-1.0, 1.2), weights=(0.5, 0.5))
@@ -68,29 +76,19 @@ class TestTrigMoment:
         seq = trig_moment_sequence(pi, 6, delta)
         assert seq.shape == (7,)
         for k in range(7):
-            assert seq[k] == pytest.approx(trig_moment(pi, k, delta), abs=1e-14)
-            assert np.conj(seq[k]) == pytest.approx(trig_moment(pi, -k, delta), abs=1e-14)
+            assert seq[k] == pytest.approx(_moment(pi, k, delta), abs=1e-14)
+            assert np.conj(seq[k]) == pytest.approx(_moment(pi, -k, delta), abs=1e-14)
 
 
 class TestUniformTrigMoment:
-    def test_exact_indicator(self):
-        assert uniform_trig_moment(5.0, 0) == 1.0 + 0.0j
-        for k in (1, 7, -3, 40):
-            assert uniform_trig_moment(5.0, k) == 0.0 + 0.0j
-
     def test_quadrature_cross_check(self):
         # integral of e^{i k pi x / A} / (2A) over [-A, A] vanishes for k != 0
         A = 5.0
-        spec = QuadratureSpec(abs_tol=3e-15, rel_tol=1e-14)
         for k in range(1, 21):
             w = k * math.pi / A
-            re = adaptive_quad(lambda x: np.cos(w * x) / (2 * A), -A, A, spec)
-            im = adaptive_quad(lambda x: np.sin(w * x) / (2 * A), -A, A, spec)
+            re = quad_oracle(lambda x: 1.0 / (2 * A), -A, A, weight="cos", wvar=w)
+            im = quad_oracle(lambda x: 1.0 / (2 * A), -A, A, weight="sin", wvar=w)
             assert abs(complex(re, im)) <= 1e-14
-
-    def test_rejects_bad_amplitude(self):
-        with pytest.raises(ValueError):
-            uniform_trig_moment(0.0, 1)
 
 
 class TestMomentMatrix:
@@ -113,10 +111,7 @@ class TestMomentMatrix:
         T = moment_matrix(pi, 4, delta)
         for j in range(5):
             for l in range(5):
-                assert T[j, l] == pytest.approx(trig_moment(pi, l - j, delta), abs=1e-14)
-
-    def test_uniform_matrix_is_identity(self):
-        assert np.array_equal(uniform_moment_matrix(3.0, 8), np.eye(9, dtype=complex))
+                assert T[j, l] == pytest.approx(_moment(pi, l - j, delta), abs=1e-14)
 
     def test_order_zero(self):
         pi = DiscreteInput(A=1.0, locations=(0.3,), weights=(1.0,))

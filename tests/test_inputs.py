@@ -10,10 +10,7 @@ import acawgn.inputs as inputs
 from acawgn import (
     DiscreteInput,
     QuadratureNonConvergence,
-    QuadratureSpec,
-    adaptive_quad,
     kkt_residual,
-    marginal_information_density,
     mixture_density,
     mutual_information,
     solve_capacity,
@@ -21,10 +18,11 @@ from acawgn import (
 )
 
 from oracles import (
-    adaptive_kkt_residual,
     every_window_kkt_scan,
+    log_mixture_pdf,
     mc_mutual_information,
     quad_oracle,
+    quad_vec_kkt_residual,
 )
 
 RNG = np.random.default_rng(99)
@@ -89,7 +87,7 @@ class TestMixtureDensity:
         for _ in range(5):
             pi = random_input(RNG)
             f = mixture_density(pi)
-            total = adaptive_quad(f, -pi.A - 10.0, pi.A + 10.0)
+            total = quad_oracle(f, -pi.A - 10.0, pi.A + 10.0)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_even_input_even_density(self):
@@ -97,12 +95,6 @@ class TestMixtureDensity:
         f = mixture_density(pi)
         ys = RNG.uniform(0, 6, 40)
         assert np.allclose(f(ys), f(-ys), rtol=1e-13, atol=1e-300)
-
-    def test_log_pdf_matches_log_of_pdf(self):
-        pi = DiscreteInput(A=2.0, locations=(-2.0, 0.3), weights=(0.6, 0.4))
-        f = mixture_density(pi)
-        ys = np.linspace(-5, 5, 31)
-        assert np.allclose(f.log_pdf(ys), np.log(f(ys)), atol=1e-12)
 
 
 class TestMutualInformation:
@@ -128,21 +120,31 @@ class TestMutualInformation:
             assert info <= 0.5 * math.log(1 + pi.A**2) + 1e-6
 
 
+def _info_at_atoms(pi):
+    """Every i(x_j) of ``pi``, by the library's trapezoid sums."""
+    return inputs._info_stats(pi.A, *pi.as_arrays())[1]
+
+
+def _quadpack_i(pi, x):
+    """i(x) = KL(phi(. - x) || f) of ``pi`` by QUADPACK."""
+    f = mixture_density(pi)
+
+    def integrand(y):
+        py = std_normal_pdf(y - x)
+        return py * (math.log(py) - math.log(f(y))) if py > 0 else 0.0
+
+    return quad_oracle(integrand, x - 12, x + 12)
+
+
 class TestMarginalInformationDensity:
     def test_point_mass_at_own_atom(self):
         pi = DiscreteInput(A=1.0, locations=(0.0,), weights=(1.0,))
-        assert abs(marginal_information_density(pi, 0.0)) <= 1e-8
+        assert abs(_info_at_atoms(pi)[0]) <= 1e-8
 
     def test_symmetry(self):
         pi = DiscreteInput(A=1.0, locations=(-1.0, 1.0), weights=(0.5, 0.5))
-        i_pos = marginal_information_density(pi, 1.0)
-        i_neg = marginal_information_density(pi, -1.0)
+        i_neg, i_pos = _info_at_atoms(pi)
         assert i_pos == pytest.approx(i_neg, abs=1e-9)
-
-    def test_out_of_range_rejected(self):
-        pi = DiscreteInput(A=1.0, locations=(0.0,), weights=(1.0,))
-        with pytest.raises(ValueError):
-            marginal_information_density(pi, 1.5)
 
     def test_mixture_identity(self):
         # I = sum_j w_j i(x_j), with i evaluated by an independent integrator
@@ -151,22 +153,12 @@ class TestMarginalInformationDensity:
             random_input(np.random.default_rng(3), margin=0.05),
         ):
             info = mutual_information(pi)
-            total = 0.0
-            for xj, wj in zip(pi.locations, pi.weights):
-                total += wj * marginal_information_density(pi, xj)
+            total = sum(wj * _quadpack_i(pi, xj) for xj, wj in zip(pi.locations, pi.weights))
             assert total == pytest.approx(info, abs=1e-7)
 
     def test_independent_quadrature_route(self):
         pi = DiscreteInput(A=1.5, locations=(-1.5, 0.5), weights=(0.55, 0.45))
-        f = mixture_density(pi)
-        x = 0.5
-
-        def integrand(y):
-            py = std_normal_pdf(y - x)
-            return py * (math.log(py) - math.log(f(y))) if py > 0 else 0.0
-
-        ref = quad_oracle(integrand, x - 12, x + 12)
-        assert marginal_information_density(pi, x) == pytest.approx(ref, abs=1e-9)
+        assert _info_at_atoms(pi)[1] == pytest.approx(_quadpack_i(pi, 0.5), abs=1e-9)
 
 
 class TestKktResidual:
@@ -211,9 +203,11 @@ ROUTE_INPUTS = [_route_input(1.25, 2, 3), _route_input(12.0, 9, 16), _route_inpu
 def _quadpack_info_stats(pi):
     """I, every i(x_j) and every dI/dx_j of ``pi`` by scipy's QUADPACK."""
     locs, ws = pi.as_arrays()
-    log_f = mixture_density(pi).log_pdf
     half_log_2pi_e = 0.5 * (math.log(2.0 * math.pi) + 1.0)
     breaks = sorted(set(locs) | set(0.5 * (locs[1:] + locs[:-1])))
+
+    def log_f(y):
+        return float(log_mixture_pdf(locs, ws, y))
 
     def integral(f, lo, hi):
         return quad_oracle(f, lo, hi, points=[b for b in breaks if lo < b < hi])
@@ -242,7 +236,7 @@ class TestTrapezoidRule:
         _, reports = scan_results
         for report in reports:
             got = kkt_residual(report.input)
-            want = adaptive_kkt_residual(report.input)
+            want = quad_vec_kkt_residual(report.input)
             assert got == pytest.approx(want, abs=1e-10), report.A
 
     def test_fft_and_direct_routes_agree(self, monkeypatch):
@@ -250,7 +244,7 @@ class TestTrapezoidRule:
             scans = []
             for ratio in (1e9, 0):   # FFT at any pitch ratio, then direct sums only
                 monkeypatch.setattr(inputs, "_FFT_MAX_RATIO", ratio)
-                scans.append(inputs._kkt_scan(pi, 2001))
+                scans.append(inputs._kkt_scan(pi))
             fft, direct = scans
             assert fft[1] > 1e-3
             assert fft[:2] == pytest.approx(direct[:2], rel=1e-15, abs=1e-12), (pi.A, pi.k)
@@ -278,10 +272,10 @@ class TestTrapezoidRule:
 
     def test_coarse_pitch_fails_the_pitch_check(self, monkeypatch):
         pi = DiscreteInput(A=8.0, locations=(-8.0, -3.0, 2.5, 8.0), weights=(0.3, 0.2, 0.2, 0.3))
-        inputs._kkt_scan(pi, 2001)
+        inputs._kkt_scan(pi)
         monkeypatch.setattr(inputs, "_pitch", lambda locs: 1.5)
         with pytest.raises(QuadratureNonConvergence):
-            inputs._kkt_scan(pi, 2001)
+            inputs._kkt_scan(pi)
 
 
 def _interpolated_i(pi, n):
@@ -322,7 +316,7 @@ class TestKktRefinement:
         pis = [random_input(rng, k_max=7, a_lo=3.0, a_hi=12.0) for _ in range(6)]
         for pi in pis + [self._near_tie()]:
             r_support, r_global, x_best, x_grid = every_window_kkt_scan(pi)
-            got = inputs._kkt_scan(pi, 2001)
+            got = inputs._kkt_scan(pi)
             assert got[:2] == pytest.approx((r_support, r_global), abs=1e-12), (pi.A, pi.k)
             assert got[2] == pytest.approx(x_best, abs=1e-12)
         # The near tie's best value lies outside the window of its grid maximum.

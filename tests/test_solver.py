@@ -9,11 +9,14 @@ from acawgn import (
     DiscreteInput,
     SolveConfig,
     dytso_lower_bound,
-    info_gradient,
-    mutual_information,
     solve_capacity,
     solve_fixed_k,
 )
+from acawgn.inputs import _info_stats
+from acawgn.numerics import HALF_LOG_2PI_E
+from acawgn.solver import _objective, _Param
+
+from oracles import central_differences, random_param, tangent_part
 
 DYTSO_AT_3 = 1.7628936255133177  # sqrt(1 + 18/(pi*e)), 40-digit arithmetic
 DYTSO_AT_5 = 2.6182022749268086
@@ -37,60 +40,50 @@ class TestDytsoLowerBound:
             dytso_lower_bound(-1.0)
 
 
-def _fd_weight(pi, j, h):
-    w = np.array(pi.weights)
-    wp = w.copy(); wp[j] += h
-    wm = w.copy(); wm[j] -= h
-    ip = mutual_information(DiscreteInput(pi.A, pi.locations, tuple(wp / wp.sum())))
-    im = mutual_information(DiscreteInput(pi.A, pi.locations, tuple(wm / wm.sum())))
-    return (ip - im) / (2 * h)
-
-
-def _fd_location(pi, j, h):
-    locs = np.array(pi.locations)
-    lp = locs.copy(); lp[j] += h
-    lm = locs.copy(); lm[j] -= h
-    ip = mutual_information(DiscreteInput(pi.A, tuple(lp), pi.weights))
-    im = mutual_information(DiscreteInput(pi.A, tuple(lm), pi.weights))
-    return (ip - im) / (2 * h)
-
-
 class TestInfoGradient:
+    """The gradient SLSQP uses: ``_objective`` in the coordinates (x, v)."""
+
     def test_symmetric_input_antisymmetric_location_gradient(self):
+        # the full-atom gradient of a symmetric input is antisymmetric in the
+        # locations and symmetric in the weights, and _objective folds it
         pi = DiscreteInput(A=2.0, locations=(-1.5, 0.0, 1.5), weights=(0.3, 0.4, 0.3))
-        g = info_gradient(pi)
-        assert g.d_locations[0] == pytest.approx(-g.d_locations[2], abs=1e-10)
-        assert abs(g.d_locations[1]) <= 1e-10
-        assert g.d_weights[0] == pytest.approx(g.d_weights[2], abs=1e-10)
+        info, i_vec, d_loc = _info_stats(pi.A, *pi.as_arrays(), want_locations=True)
+        assert d_loc[0] == pytest.approx(-d_loc[2], abs=1e-10)
+        assert abs(d_loc[1]) <= 1e-10
+        assert i_vec[0] == pytest.approx(i_vec[2], abs=1e-10)
+        p = _Param(2.0, True, np.array([1.5]), np.array([0.4, 0.3]))
+        got, grad = _objective(p)
+        assert got == info
+        raw = i_vec + HALF_LOG_2PI_E - 1.0
+        assert grad == pytest.approx([2 * d_loc[2], raw[1], 2 * raw[2]], abs=1e-12)
 
     def test_optimal_binary_gradient_vanishes(self):
-        pi = DiscreteInput(A=0.8, locations=(-0.8, 0.8), weights=(0.5, 0.5))
-        g = info_gradient(pi)
-        # weight equalization exact by symmetry; boundary atoms push outward
-        assert np.max(np.abs(g.d_weights)) <= 1e-6
-        assert np.all(np.array(g.d_locations) * np.array([-1, 1]) >= -1e-9)
+        # binary +-0.8 is optimal: the weight gradient is a multiple of c, so
+        # it vanishes in the tangent space; the atom pushes outward against
+        # its box; a zero-weight centre would lower I (i(0) < I)
+        binary = _Param(0.8, False, np.array([0.8]), np.array([0.5]))
+        info, grad = _objective(binary)
+        assert grad[0] > 0.0
+        assert grad[1] == pytest.approx(2.0 * (info + HALF_LOG_2PI_E - 1.0), abs=1e-12)
+        centred = _Param(0.8, True, np.array([0.8]), np.array([0.0, 0.5]))
+        info_c, grad_c = _objective(centred)
+        assert info_c == pytest.approx(info, abs=1e-15)
+        assert tangent_part(grad_c[1:], centred.weight_constraint())[0] < 0.0
 
     def test_finite_difference_agreement(self):
+        # locations as they are; weights in the tangent space of c . v = 1,
+        # where the objective's raw partials and the finite differences of the
+        # returned I differ by log(2 pi e)/2 * c; with a centre atom and without
         rng = np.random.default_rng(31)
-        for _ in range(4):
-            K = int(rng.integers(2, 5))
-            A = float(rng.uniform(1.0, 3.5))
-            locs = np.sort(rng.uniform(-A * 0.85, A * 0.85, K))
-            while np.min(np.diff(locs)) < 0.1:
-                locs = np.sort(rng.uniform(-A * 0.85, A * 0.85, K))
-            w = rng.dirichlet(np.ones(K) * 3)
-            pi = DiscreteInput.normalized(A, locs, w)
-            g = info_gradient(pi)
-            h = 1e-5
-            for j in range(pi.k):
-                fd_w = _fd_weight(pi, j, h)
-                fd_x = _fd_location(pi, j, h)
-                assert _agree(g.d_weights[j], fd_w), (g.d_weights[j], fd_w)
-                assert _agree(g.d_locations[j], fd_x), (g.d_locations[j], fd_x)
-
-
-def _agree(a, b, rel=1e-5, abs_tol=1e-8):
-    return abs(a - b) <= abs_tol or abs(a - b) <= rel * max(abs(a), abs(b))
+        for n in range(8):
+            p = random_param(rng, has_center=n % 2 == 1)
+            _, grad = _objective(p)
+            fd = central_differences(lambda z: _objective(p.with_coords(z))[0],
+                                     np.concatenate([p.x, p.v]), 1e-5)
+            m, c = p.x.size, p.weight_constraint()
+            assert np.max(np.abs(grad[:m] - fd[:m])) <= 1e-8
+            assert np.max(np.abs(tangent_part(grad[m:] - fd[m:], c))) <= 1e-8
+            assert grad[m:] - fd[m:] == pytest.approx(HALF_LOG_2PI_E * c, abs=1e-8)
 
 
 class TestSolveFixedK:
@@ -214,15 +207,6 @@ class TestSolveCapacity:
         assert rep.capacity_nats <= 0.5 * math.log(1 + 1.5**2) + 1e-6
         assert rep.capacity_nats >= 0.0
 
-    def test_report_round_trip(self):
-        from acawgn.solver import SolveReport
-
-        rep = solve_capacity(0.8)
-        again = SolveReport.from_dict(rep.to_dict())
-        assert again.input == rep.input
-        assert again.capacity_nats == rep.capacity_nats
-        assert again.history == rep.history
-
     def test_history_records_optimizer_stop(self):
         rep = solve_capacity(2.0)
         step = rep.history[-1]
@@ -231,25 +215,6 @@ class TestSolveCapacity:
         d = step.to_dict()
         assert d["opt_iters"] == step.opt_iters
         assert d["opt_status"] == step.opt_status
-
-    def test_report_without_optimizer_fields_loads(self):
-        from acawgn.solver import SolveReport
-
-        d = solve_capacity(0.8).to_dict()
-        for h in d["history"]:
-            del h["opt_iters"], h["opt_status"]
-        again = SolveReport.from_dict(d)
-        assert all(h.opt_iters == 0 and h.opt_status == "" for h in again.history)
-
-    def test_report_history_ignores_unknown_keys(self):
-        from acawgn.solver import SolveReport
-
-        d = solve_capacity(0.8).to_dict()
-        for h in d["history"]:
-            h["note"] = "written by a newer version"
-            h["k_tried"] = float(h["k_tried"])
-        again = SolveReport.from_dict(d)
-        assert all(type(h.k_tried) is int for h in again.history)
 
     def test_start_sets_first_level(self):
         start = solve_capacity(4.0).input

@@ -1,0 +1,34 @@
+"""README's library example runs, and every exported name resolves."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SUBMODULES = ("numerics", "inputs", "solver", "certificates", "scan")
+
+
+def _library_example() -> str:
+    """The python block under README's "Library surface" heading."""
+    section = README.read_text().split("## Library surface", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example_runs():
+    code = _library_example()
+    assert "from acawgn import (" in code
+    exec(compile(code, str(README), "exec"), {})
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"acawgn.{name}")
+    package = importlib.import_module("acawgn")
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing, missing
+    # what the package re-exports from the module is the module's own object
+    for n in module.__all__:
+        if hasattr(package, n):
+            assert getattr(package, n) is getattr(module, n), n
