@@ -14,16 +14,12 @@ from .numerics import (
     adaptive_quad,
     adaptive_quad_family,
     bulk_sup_deviation,
-    std_normal_cdf,
-    std_normal_pdf,
     tv_distance,
     uniform_output_density,
 )
 from .inputs import (
     DiscreteInput,
-    MixtureDensity,
     kkt_residual,
-    mixture_density,
     mutual_information,
 )
 from .solver import (

@@ -83,15 +83,15 @@ def numerical_rank(mat: np.ndarray) -> int:
     return int(np.sum(sigma > RANK_THRESHOLD * sigma[0]))
 
 
-def certified_tv_lower_bound_maxnorm_log(pi: DiscreteInput, A: float) -> tuple[float, int]:
+def certified_tv_lower_bound_maxnorm_log(pi: DiscreteInput) -> tuple[float, int]:
     """(log of the max-norm TV lower bound, maximizing frequency k).
 
     The bound is max over 1 <= k <= 2K of (1/2) e^{-k^2 delta^2 / 2} |t_k|
-    with delta = pi/A; the uniform target's moments vanish there, and k and
-    -k contribute equal magnitudes.  Returns (-inf, 0) when every moment up
-    to 2K vanishes (impossible for a K-atom input, but kept total).
+    with delta = pi/A, A = pi.A; the uniform target's moments vanish there,
+    and k and -k contribute equal magnitudes.  Returns (-inf, 0) when every
+    moment up to 2K vanishes (impossible for a K-atom input, but kept total).
     """
-    delta = base_frequency(A)
+    delta = base_frequency(pi.A)
     K = pi.k
     mags = np.abs(trig_moment_sequence(pi, 2 * K, delta)[1:])  # |t_1| .. |t_2K|
     ks = np.arange(1, 2 * K + 1)
@@ -101,13 +101,13 @@ def certified_tv_lower_bound_maxnorm_log(pi: DiscreteInput, A: float) -> tuple[f
     return float(logs[j]), int(ks[j])
 
 
-def certified_tv_lower_bound_maxnorm(pi: DiscreteInput, A: float) -> float:
+def certified_tv_lower_bound_maxnorm(pi: DiscreteInput) -> float:
     """Rigorous lower bound on TV(f_pi, f_unif_A) from the largest weighted moment.
 
-    Computed in log-space; the returned linear value may underflow to 0.0
-    once K >> A (use the ``_log`` variant for the exact exponent).
+    A = pi.A.  Computed in log-space; the returned linear value may underflow
+    to 0.0 once K >> A (use the ``_log`` variant for the exact exponent).
     """
-    log_bound, _ = certified_tv_lower_bound_maxnorm_log(pi, A)
+    log_bound, _ = certified_tv_lower_bound_maxnorm_log(pi)
     return math.exp(log_bound) if log_bound > -745.0 else 0.0
 
 
@@ -137,15 +137,15 @@ def _closed_form_exponent(K: int, A: float) -> float:
         return math.inf
 
 
-def rank_route_bound(pi: DiscreteInput, A: float) -> tuple[float, float]:
+def rank_route_bound(pi: DiscreteInput) -> tuple[float, float]:
     """(frobenius_gap, implied TV bound) via the rank deficit of T_2K.
 
-    frobenius_gap = ||I - T_2K(delta X_K)||_F, which low-rank approximation
-    bounds below by sqrt(K+1) (the identity remainder keeps K+1 unit singular
-    values); the implied TV bound divides by 2 e^{2 K^2 delta^2} (2K+1),
-    evaluated in log-space to dodge underflow.
+    delta = pi/A with A = pi.A.  frobenius_gap = ||I - T_2K(delta X_K)||_F,
+    which low-rank approximation bounds below by sqrt(K+1) (the identity
+    remainder keeps K+1 unit singular values); the implied TV bound divides
+    by 2 e^{2 K^2 delta^2} (2K+1), evaluated in log-space to dodge underflow.
     """
-    delta = base_frequency(A)
+    delta = base_frequency(pi.A)
     return _rank_route(moment_matrix(pi, 2 * pi.k, delta), pi.k, delta)
 
 
@@ -220,7 +220,7 @@ def certificate_report(pi: DiscreteInput, measure_tv: bool = False) -> Certifica
     A = pi.A
     K = pi.k
     delta = base_frequency(A)
-    log_mb, argmax_k = certified_tv_lower_bound_maxnorm_log(pi, A)
+    log_mb, argmax_k = certified_tv_lower_bound_maxnorm_log(pi)
     maxnorm = math.exp(log_mb) if log_mb > -745.0 else 0.0
     T = moment_matrix(pi, 2 * K, delta)
     gap, implied = _rank_route(T, K, delta)

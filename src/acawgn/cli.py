@@ -22,6 +22,7 @@ from .inputs import DiscreteInput
 from .scan import (
     CSV_COLUMNS,
     SolveConfig,
+    _validate_grid,
     records_to_csv,
     records_to_json,
     scan,
@@ -86,15 +87,9 @@ def parse_grid(spec: str) -> list[float]:
             grid = [start + i * step for i in range(n)]
         else:
             grid = [float(p) for p in spec.split(",") if p.strip()]
+        return _validate_grid(grid)
     except (ValueError, OverflowError) as exc:
         raise CliError(f"bad grid spec {spec!r}: {exc}") from exc
-    if not grid:
-        raise CliError(f"bad grid spec {spec!r}: empty grid")
-    if not all(a > 0.0 and math.isfinite(a) for a in grid):
-        raise CliError(f"bad grid spec {spec!r}: amplitudes must be positive and finite")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise CliError(f"bad grid spec {spec!r}: must be strictly increasing")
-    return grid
 
 
 def _emit(text: str, out_path: str | None):
@@ -257,9 +252,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_probe(args) -> int:
     if _amplitude(args.amplitude) < 4.0:
         raise CliError(f"probe requires --amplitude >= 4, got {args.amplitude}")
-    config = _solve_config(args)
-    report = solve_capacity(args.amplitude, config)
-    left, middle, right = theorem2_probe(args.amplitude, config, solution=report.input)
+    report = solve_capacity(args.amplitude, _solve_config(args))
+    left, middle, right = theorem2_probe(report.input)
     payload = {
         "A": args.amplitude,
         "B": args.amplitude - math.sqrt(args.amplitude),

@@ -1,8 +1,8 @@
 """Discrete channel inputs and their Gaussian-mixture outputs.
 
 A ``DiscreteInput`` is a probability mass function on finitely many points of
-``[-A, A]``; pushing it through the unit-variance Gaussian channel gives a
-``MixtureDensity`` output law.  On top of those two types this module exposes
+``[-A, A]``; pushing it through the unit-variance Gaussian channel gives the
+Gaussian-mixture output density f.  On top of that type this module exposes
 the information quantities the capacity machinery runs on:
 
 - ``mutual_information``: I(X;Y) = h(f) - 0.5*log(2*pi*e);
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -44,8 +44,6 @@ from .numerics import adaptive_quad_family  # noqa: F401
 
 __all__ = [
     "DiscreteInput",
-    "MixtureDensity",
-    "mixture_density",
     "mutual_information",
     "kkt_residual",
     "MERGE_TOL",
@@ -193,32 +191,6 @@ class DiscreteInput:
     @classmethod
     def from_json(cls, s: str) -> "DiscreteInput":
         return cls.from_dict(json.loads(s))
-
-
-@dataclass(frozen=True)
-class MixtureDensity:
-    """Output law f(y) = sum_j w_j * phi(y - x_j) of a DiscreteInput.
-
-    A unit-variance Gaussian mixture, callable on scalars or arrays.
-    """
-
-    input_dist: DiscreteInput
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.input_dist.as_arrays()
-
-    def __call__(self, y):
-        locs, ws = self._arrays
-        y = np.asarray(y, dtype=float)
-        d = np.atleast_1d(y)[None, :] - locs[:, None]
-        out = INV_SQRT_2PI * (ws[:, None] * np.exp(-0.5 * d * d)).sum(axis=0)
-        return out.reshape(y.shape) if y.ndim else float(out[0])
-
-
-def mixture_density(pi: DiscreteInput) -> MixtureDensity:
-    """Output density of ``pi`` through the unit-variance Gaussian channel."""
-    return MixtureDensity(pi)
 
 
 def _log_mixture(locs: np.ndarray, logw: np.ndarray, y: np.ndarray) -> np.ndarray:

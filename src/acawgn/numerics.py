@@ -2,15 +2,15 @@
 
 Everything else in the package reduces to the primitives collected here:
 
-- the standard normal pdf and cdf (the cdf goes through ``scipy.special.ndtr``,
-  an erfc-based routine, so the far tail keeps ~1e-15 relative accuracy --
-  needed when squeezing flatness bounds at arguments like ``A - B`` ~ 10);
 - the closed-form output density of a uniform input on ``[-A, A]`` pushed
-  through the unit-variance Gaussian channel;
+  through the unit-variance Gaussian channel.  Its normal cdf goes through
+  ``scipy.special.ndtr``, an erfc-based routine, so the far tail keeps
+  ~1e-15 relative accuracy -- needed when squeezing flatness bounds at
+  arguments like ``A - B`` ~ 10;
 - the exact total-variation distance between the output of a discrete input
   and that smoothed uniform law, from closed-form CDFs between the sign
-  changes of their difference, and the sup-norm flatness ("bulk
-  deviation") of a density against the uniform level ``1/(2A)``;
+  changes of their difference, and the flatness ("bulk deviation") of that
+  output on ``[-B, B]``, ``B = A - sqrt(A)``; both read ``A`` off the input;
 - an adaptive Gauss-Kronrod 7/15 quadrature that can integrate a whole
   *family* of integrands on one shared, jointly refined partition.  No
   command or library routine calls it any more, and the tests' oracles use
@@ -35,8 +35,6 @@ __all__ = [
     "DEFAULT_QUAD",
     "TAIL_PAD",
     "HALF_LOG_2PI_E",
-    "std_normal_pdf",
-    "std_normal_cdf",
     "uniform_output_density",
     "adaptive_quad",
     "adaptive_quad_family",
@@ -55,22 +53,6 @@ HALF_LOG_2PI_E = 0.5 * (math.log(2.0 * math.pi) + 1.0)
 TAIL_PAD = 10.0
 
 ArrayLike = Union[float, np.ndarray]
-
-
-def std_normal_pdf(x: ArrayLike) -> ArrayLike:
-    """Standard Gaussian density phi(x) = exp(-x^2/2)/sqrt(2*pi).
-
-    Accepts scalars or arrays; even in x.
-    """
-    x = np.asarray(x, dtype=float)
-    out = INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return out if out.ndim else float(out)
-
-
-def std_normal_cdf(x: ArrayLike) -> ArrayLike:
-    """Standard Gaussian cdf Phi(x), accurate to ~1e-15 relative in both tails."""
-    out = ndtr(np.asarray(x, dtype=float))
-    return out if out.ndim else float(out)
 
 
 def uniform_output_density(A: float, x: ArrayLike) -> ArrayLike:
@@ -236,10 +218,10 @@ def adaptive_quad(
 
 # Exact TV against the smoothed uniform law (``tv_distance``).  The sign
 # changes of g = p - q are bracketed on cells of pitch _TV_PITCH over
-# [-A'-_TV_PAD, A'+_TV_PAD], A' = max(A, max|x_j|), outside which both
-# densities are below 1e-31.  A cell that cannot be shown to hold no root,
-# or exactly one, is split _TV_SPLIT ways, until a pair of roots it might
-# still hide would enclose less than _TV_MISSED_AREA of |g|.  Each bracket
+# [-A-_TV_PAD, A+_TV_PAD], outside which both densities are below 1e-31
+# (every atom lies in [-A, A]).  A cell that cannot be shown to hold no
+# root, or exactly one, is split _TV_SPLIT ways, until a pair of roots it
+# might still hide would enclose less than _TV_MISSED_AREA of |g|.  Each bracket
 # is then cut _TV_SECTIONS ways, _TV_ROUNDS times, keeping the first piece
 # whose ends differ in sign, so that every bracket still holds a sign change
 # and shrinks 16^8 = 2^32-fold.  A typical input has a few brackets, where a
@@ -300,7 +282,7 @@ def _curvature_bound(A: float, locs, ws, a, b) -> np.ndarray:
 
 def _tv_roots(A: float, locs, ws) -> np.ndarray:
     """The sign changes of g = p - q, ascending."""
-    span = max(A, float(np.max(np.abs(locs)))) + _TV_PAD
+    span = A + _TV_PAD
     y = np.linspace(-span, span, math.ceil(2.0 * span / _TV_PITCH) + 1)
     g = _mixture_minus_uniform(A, locs, ws, y)
     a, b, ga, gb = y[:-1], y[1:], g[:-1], g[1:]
@@ -356,26 +338,33 @@ def tv_distance(pi) -> float:
     return float(_tv_parts(pi.A, *pi.as_arrays()).sum())
 
 
-def bulk_sup_deviation(f, A: float, B: float) -> float:
-    """Grid approximation of sup_{|x| <= B} |2*A*f(x) - 1| for 0 < B < A.
+def bulk_sup_deviation(pi) -> float:
+    """Grid approximation of sup_{|x| <= B} |2*A*f(x) - 1|, B = A - sqrt(A).
 
-    Measures how flat f is against the uniform level 1/(2A) on the bulk
-    [-B, B].  The sup is taken over a grid of pitch min(0.01, 1/(10A)) --
-    adequate because unit noise variance makes the smoothness scale O(1) --
-    followed by one local refinement pass around the grid argmax.
+    Measures how flat the output density f of the DiscreteInput ``pi`` is
+    against the uniform level 1/(2A), A = pi.A, on the bulk [-B, B].  NaN
+    for A <= 1, where B is not positive.  The sup is taken over a grid of
+    pitch min(0.01, 1/(10A)) -- adequate because unit noise variance makes
+    the smoothness scale O(1) -- followed by one local refinement pass
+    around the grid argmax.
     """
-    if not (B > 0.0):
-        raise ValueError(f"bulk half-width must be positive, got B={B}")
-    if not (B < A):
-        raise ValueError(f"bulk must sit strictly inside the amplitude: B={B} >= A={A}")
+    A = pi.A
+    if not A > 1.0:
+        return math.nan
+    B = A - math.sqrt(A)
+    locs, ws = pi.as_arrays()
+
+    def dev(y):
+        d = y[None, :] - locs[:, None]
+        f = INV_SQRT_2PI * (ws[:, None] * np.exp(-0.5 * d * d)).sum(axis=0)
+        return np.abs(2.0 * A * f - 1.0)
+
     pitch = min(0.01, 1.0 / (10.0 * A))
     n = max(3, int(math.ceil(2.0 * B / pitch)) + 1)
     grid = np.linspace(-B, B, n)
-    dev = np.abs(2.0 * A * np.asarray(f(grid), dtype=float) - 1.0)
-    j = int(np.argmax(dev))
-    best = float(dev[j])
+    coarse = dev(grid)
+    j = int(np.argmax(coarse))
     # One refinement pass around the coarse argmax.
     step = grid[1] - grid[0]
     local = np.clip(np.linspace(grid[j] - step, grid[j] + step, 201), -B, B)
-    dev_local = np.abs(2.0 * A * np.asarray(f(local), dtype=float) - 1.0)
-    return max(best, float(dev_local.max()))
+    return max(float(coarse[j]), float(dev(local).max()))

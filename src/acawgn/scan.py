@@ -4,10 +4,12 @@ Scans a grid of amplitudes, solving each one for (K_A, C(A)) and measuring
 how the optimal output law approaches the smoothed uniform law: the total
 variation to f_unif_A, the bulk flatness deviation on [-B, B] with
 B = A - sqrt(A), the support-size floor sqrt(1 + 2A^2/(pi e)), and both
-certificate lower bounds evaluated at the solved input.  Produces
-machine-readable tables (CSV with a fixed header, or JSON), log-log
-scaling-law fits of K_A against A, and a three-way split of the TV integral
-(tails / bulk) that mirrors how the bulk flatness controls the distance.
+certificate lower bounds evaluated at the solved input.  Each of those
+measurements is a function of the solved input alone.  Produces
+machine-readable tables (CSV with a header read off ``ScanRecord``'s fields,
+or JSON), log-log scaling-law fits of K_A against A, and a three-way split
+of the TV integral (tails / bulk) that mirrors how the bulk flatness
+controls the distance.
 
 Scans are deterministic and solve the amplitudes in grid order, with
 continuation in A: each row's solve starts from the previous row's
@@ -20,12 +22,12 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from .certificates import certified_tv_lower_bound_maxnorm, closed_form_bound
-from .inputs import DiscreteInput, mixture_density
+from .inputs import DiscreteInput
 from .numerics import QuadratureNonConvergence, _tv_parts, bulk_sup_deviation, tv_distance
 from .solver import SolveConfig, SolveReport, dytso_lower_bound, solve_capacity
 
@@ -41,19 +43,6 @@ __all__ = [
     "theorem2_probe",
 ]
 
-# Stable CSV interface: column names and order are part of the contract.
-CSV_COLUMNS = (
-    "A",
-    "K",
-    "capacity_nats",
-    "tv_uniform",
-    "bulk_dev",
-    "dytso_lb",
-    "thm3_bound",
-    "maxnorm_bound",
-    "status",
-)
-
 STATUS_OK = "ok"
 STATUS_UNCONVERGED = "unconverged"
 STATUS_ERROR = "error"
@@ -61,7 +50,7 @@ STATUS_ERROR = "error"
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One row of the amplitude scan."""
+    """One row of the amplitude scan; its fields are the CSV columns, in order."""
 
     A: float
     K: int
@@ -90,29 +79,17 @@ class ScanRecord:
         return self.status == STATUS_OK
 
     def to_dict(self) -> dict:
-        def clean(v):
-            return None if isinstance(v, float) and math.isnan(v) else v
-
-        return {
-            "A": self.A,
-            "K": self.K,
-            "capacity_nats": clean(self.capacity_nats),
-            "tv_uniform": clean(self.tv_uniform),
-            "bulk_dev": clean(self.bulk_dev),
-            "dytso_lb": clean(self.dytso_lb),
-            "thm3_bound": clean(self.thm3_bound),
-            "maxnorm_bound": clean(self.maxnorm_bound),
-            "status": self.status,
-        }
+        """The fields by name, NaN written as None (JSON has no NaN)."""
+        return {k: None if isinstance(v, float) and math.isnan(v) else v
+                for k, v in asdict(self).items()}
 
     def to_csv_row(self) -> str:
-        vals = [
-            self.A, self.K, self.capacity_nats, self.tv_uniform, self.bulk_dev,
-            self.dytso_lb, self.thm3_bound, self.maxnorm_bound,
-        ]
-        cells = [repr(float(v)) if not isinstance(v, int) else str(v) for v in vals]
-        cells.append(self.status)
-        return ",".join(cells)
+        return ",".join(str(v) if isinstance(v, (int, str)) else repr(float(v))
+                        for v in astuple(self))
+
+
+# Stable CSV interface: column names and order are part of the contract.
+CSV_COLUMNS = tuple(f.name for f in fields(ScanRecord))
 
 
 @dataclass(frozen=True)
@@ -133,14 +110,7 @@ class ScalingFit:
             raise ValueError("slope must be finite")
 
     def to_dict(self) -> dict:
-        return {
-            "a_min": self.a_min,
-            "a_max": self.a_max,
-            "n_points": self.n_points,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual_norm": self.residual_norm,
-        }
+        return asdict(self)
 
 
 def _validate_grid(a_grid) -> list[float]:
@@ -160,20 +130,15 @@ def _scan_one(
     try:
         report = solve_capacity(A, config, start=start)
         pi = report.input
-        tv = tv_distance(pi)
-        if A > 1.0:
-            bulk = bulk_sup_deviation(mixture_density(pi), A, A - math.sqrt(A))
-        else:
-            bulk = math.nan
         record = ScanRecord(
             A=A,
             K=report.k,
             capacity_nats=report.capacity_nats,
-            tv_uniform=tv,
-            bulk_dev=bulk,
+            tv_uniform=tv_distance(pi),
+            bulk_dev=bulk_sup_deviation(pi),
             dytso_lb=dytso_lower_bound(A),
             thm3_bound=closed_form_bound(report.k, A),
-            maxnorm_bound=certified_tv_lower_bound_maxnorm(pi, A),
+            maxnorm_bound=certified_tv_lower_bound_maxnorm(pi),
             status=STATUS_OK if report.converged else STATUS_UNCONVERGED,
         )
         return record, report
@@ -255,24 +220,18 @@ def fit_scaling(records, a_range: tuple[float, float]) -> ScalingFit:
     )
 
 
-def theorem2_probe(
-    A: float,
-    config: SolveConfig | None = None,
-    solution: DiscreteInput | None = None,
-) -> tuple[float, float, float]:
-    """Split TV(f_A_star, f_unif_A) into tail/bulk/tail parts at B = A - sqrt(A).
+def theorem2_probe(pi: DiscreteInput) -> tuple[float, float, float]:
+    """Split TV(f_pi, f_unif_A) into tail/bulk/tail parts at B = A - sqrt(A), A = pi.A.
 
     Returns the three partial integrals (each including the global 1/2
     factor) over (-inf, -B], [-B, B], [B, inf).  They come from the same
     closed-form CDF differences as ``tv_distance``, with +-B added to the
     breakpoints, so their sum is the full TV distance up to rounding.
-    Requires A >= 4 so the bulk is comfortably nonempty.  ``solution`` reuses
-    an already-solved input; otherwise the amplitude is solved afresh with
-    ``config``.
+    Requires A >= 4 so the bulk is comfortably nonempty.
     """
+    A = pi.A
     if not A >= 4.0:
         raise ValueError(f"probe requires A >= 4, got {A}")
     B = A - math.sqrt(A)
-    pi = solution if solution is not None else solve_capacity(A, config).input
     left, bulk, right = _tv_parts(A, *pi.as_arrays(), (-B, B))
     return float(left), float(bulk), float(right)

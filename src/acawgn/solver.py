@@ -22,7 +22,8 @@ size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
 The objective, its gradient, condensing, C and both KKT residuals all come
 from the trapezoid rule of ``acawgn.inputs``; no adaptive quadrature runs in
 a solve, and no option sets a quadrature tolerance.  A solve is
-deterministic: it draws no random numbers.
+deterministic: it draws no random numbers.  ``SolveConfig`` holds only what
+the CLI sets: ``max_k``, ``kkt_eps`` and ``seed``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ __all__ = [
 _CONDENSE_TOL = 1e-2
 _CONDENSE_INFO_TOL = 1e-9
 
+# SLSQP's maxiter per fixed-K run.  No level has come near it: the largest
+# measured took 1227 iterations, over 787 levels of scans and cold solves up
+# to A = 100.
+_MAX_ITERS = 6000
+
 
 def dytso_lower_bound(A: float) -> float:
     """Support-size lower bound sqrt(1 + 2*A^2/(pi*e)); equals 1 at A = 0."""
@@ -65,38 +71,28 @@ def dytso_lower_bound(A: float) -> float:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Knobs for the fixed-K optimizer and the escalation loop."""
+    """The solve's settings, one per CLI flag (--max-k, --eps, --seed)."""
 
-    initial_k: int | None = None      # default: ceil of dytso_lower_bound(A)
     max_k: int | None = None          # default: see max_k_for
     kkt_eps: float = 1e-6
-    max_iters: int = 6000             # SLSQP maxiter per fixed-K run
     # Recorded in the report (the CLI and JSON carry it); no solve reads it.
     seed: int = 0
 
     def __post_init__(self):
-        if self.initial_k is not None and self.initial_k < 1:
-            raise ValueError("initial_k must be >= 1")
-        if self.max_k is not None:
-            if self.initial_k is not None and self.max_k < self.initial_k:
-                raise ValueError("max_k must be >= initial_k")
-            if self.max_k < 1:
-                raise ValueError("max_k must be >= 1")
+        if self.max_k is not None and self.max_k < 1:
+            raise ValueError("max_k must be >= 1")
         if not (self.kkt_eps > 0.0):
             raise ValueError("kkt_eps must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
     def max_k_for(self, A: float) -> int:
-        """The cap on K at amplitude A: ``max_k``, or by default
-        ``max(40, 2*ceil(A))``, and never below ``initial_k``.
+        """The cap on K at amplitude A: ``max_k``, or by default max(40, 2*ceil(A)).
 
         Dytso et al. (IEEE T-IT 66(4), 2020) prove K_A = O(A^2); K_A/A has
         been measured at most 1.29 up to A = 80.
         """
         if self.max_k is not None:
             return self.max_k
-        return max(40, 2 * math.ceil(A), self.initial_k or 1)
+        return max(40, 2 * math.ceil(A))
 
 
 @dataclass(frozen=True)
@@ -201,24 +197,20 @@ def _initial_param(A: float, K: int) -> _Param:
     return _Param(A, K % 2 == 1, x, np.full(x.size + K % 2, 1.0 / K))
 
 
-def _param_from_input(
-    pi: DiscreteInput,
-    K: int,
-    prefer: tuple[float, ...] = (),
-) -> _Param | None:
+def _param_from_input(pi: DiscreteInput, K: int, prefer: float | None = None) -> _Param | None:
     """Embed a solved symmetric input as a warm start for a (possibly larger) K.
 
     Missing slots are filled with zero weight, which leaves the achieved
-    information unchanged: first at the ``prefer`` locations (typically
-    where the previous level's optimality check found i(x) > I, so the
-    optimizer immediately has an ascent direction there), then at the
-    midpoints of the largest location gaps.  None if ``pi`` does not fit.
+    information unchanged: first at +-``prefer`` (typically where the
+    previous level's optimality check found i(x) > I, so the optimizer
+    immediately has an ascent direction there), then at the midpoints of
+    the largest location gaps.  None if ``pi`` does not fit.
     """
     locs, ws = pi.as_arrays()
 
     def next_slot(existing):
-        for cand in prefer:
-            c = abs(float(cand))
+        if prefer is not None:
+            c = abs(prefer)
             if existing.size == 0 or np.min(np.abs(existing - c)) > 1e-3:
                 return c
         edges = np.sort(np.concatenate([[0.0], existing, [pi.A]]))
@@ -257,9 +249,7 @@ def _objective(p: _Param) -> tuple[float, np.ndarray]:
     return info, np.concatenate([gx, gv])
 
 
-def _pg_maximize(
-    param: _Param, cfg: SolveConfig, status: list[str]
-) -> tuple[_Param, float, bool, int]:
+def _pg_maximize(param: _Param, status: list[str]) -> tuple[_Param, float, bool, int]:
     """Maximize I over ``param``'s coordinates with one SLSQP call.
 
     Locations and weights are boxed (see ``_Param.bounds``) and the weights
@@ -292,7 +282,7 @@ def _pg_maximize(
         method="SLSQP",
         bounds=box,
         constraints=[total_one],
-        options={"maxiter": cfg.max_iters, "ftol": 1e-15},
+        options={"maxiter": _MAX_ITERS, "ftol": 1e-15},
     )
     status.append(str(res.message))
     lo, hi = np.array(box).T
@@ -303,16 +293,15 @@ def _pg_maximize(
 def solve_fixed_k(
     A: float,
     K: int,
-    config: SolveConfig | None = None,
     init: DiscreteInput | None = None,
-    prefer_locations: tuple[float, ...] = (),
+    violation: float | None = None,
 ) -> tuple[DiscreteInput, float, bool, int, str]:
     """Locally optimal symmetric input with at most K surviving atoms, and its I.
 
     One SLSQP run (see ``_pg_maximize``) from ``init`` padded with
-    zero-weight pairs, first at ``prefer_locations`` (see
-    ``_param_from_input``), or else from equispaced atoms.  Weights below
-    1e-9 are pruned and coincident atoms merged before the final evaluation.
+    zero-weight pairs, first at +-``violation`` (see ``_param_from_input``),
+    or else from equispaced atoms.  Weights below 1e-9 are pruned and
+    coincident atoms merged before the final evaluation.
     Returns (input, info_nats, converged, iterations, status), the last
     three being SLSQP's success flag, iteration count and stop message.
     """
@@ -320,15 +309,14 @@ def solve_fixed_k(
         raise ValueError("K must be >= 1")
     if not (A > 0.0 and math.isfinite(A)):
         raise ValueError(f"amplitude must be positive and finite, got {A}")
-    cfg = config or SolveConfig()
     param = None
     if init is not None:
-        param = _param_from_input(init, K, prefer=prefer_locations)
+        param = _param_from_input(init, K, prefer=violation)
     if param is None:
         param = _initial_param(A, K)
 
     status: list[str] = []
-    param, _, converged, iters = _pg_maximize(param, cfg, status)
+    param, _, converged, iters = _pg_maximize(param, status)
     locs, ws = param.expand()
     pi = DiscreteInput.normalized(A, locs, ws)
     info = mutual_information(pi)
@@ -350,36 +338,32 @@ def solve_capacity(
 
     Runs one ``solve_fixed_k`` per level K = K0, K0+2, ... <= the cap
     (``SolveConfig.max_k_for``) until both KKT residuals pass
-    ``config.kkt_eps``.  K0 is ``initial_k``, or else the odd ceiling of
-    ``dytso_lower_bound(A)``.  Without ``start`` the first level starts from
-    equispaced atoms.  With ``start``, an input solved at another amplitude
-    (continuation in A), the first level starts from its atoms scaled by
-    ``A / start.A`` and K0 is raised to at least ``start.k``.  Each later
-    level is warm-started from the previous level's input plus a zero-weight
-    pair at +-x, where x is the previous level's worst violation of
-    i(x) <= I.  Reaching the cap without certification returns the best
-    level flagged unconverged.
+    ``config.kkt_eps``.  K0 is the odd ceiling of ``dytso_lower_bound(A)``.
+    Without ``start`` the first level starts from equispaced atoms.  With
+    ``start``, an input solved at another amplitude (continuation in A), the
+    first level starts from its atoms scaled by ``A / start.A`` and K0 is
+    raised to at least ``start.k``.  Each later level is warm-started from
+    the previous level's input plus a zero-weight pair at +-x, where x is
+    the previous level's worst violation of i(x) <= I.  Reaching the cap
+    without certification returns the best level flagged unconverged.
     """
     if not (A > 0.0 and math.isfinite(A)):
         raise ValueError(f"amplitude must be positive and finite, got {A}")
     cfg = config or SolveConfig()
     max_k = cfg.max_k_for(A)
     t0 = time.perf_counter()
-    if cfg.initial_k is not None:
-        k0 = cfg.initial_k
-    else:
-        k0 = max(1, math.ceil(dytso_lower_bound(A) - 1e-12))
-        # Walk odd K only: a center-plus-pairs support can express either
-        # parity (the center weight just goes to zero when the optimum is
-        # even), whereas an even-K run facing an odd optimum must crawl a
-        # pair of atoms together through a nearly flat direction.
-        if k0 % 2 == 0:
-            k0 += 1
+    k0 = max(1, math.ceil(dytso_lower_bound(A) - 1e-12))
+    # Walk odd K only: a center-plus-pairs support can express either
+    # parity (the center weight just goes to zero when the optimum is
+    # even), whereas an even-K run facing an odd optimum must crawl a
+    # pair of atoms together through a nearly flat direction.
+    if k0 % 2 == 0:
+        k0 += 1
 
     history: list[EscalationStep] = []
     best = None   # (pi, info, r_s, r_g) of the level reported
     pi: DiscreteInput | None = None
-    violation: tuple[float, ...] = ()
+    violation: float | None = None
     if start is not None:
         locs, ws = start.as_arrays()
         pi = DiscreteInput.normalized(A, locs * A / start.A, ws)
@@ -387,9 +371,7 @@ def solve_capacity(
     k0 = min(k0, max_k)
 
     for K in range(k0, max_k + 1, 2):
-        pi, info, _, iters, status = solve_fixed_k(
-            A, K, cfg, init=pi, prefer_locations=violation
-        )
+        pi, info, _, iters, status = solve_fixed_k(A, K, init=pi, violation=violation)
         r_s, r_g, x_viol = _kkt_scan(pi)
         passed = r_s <= cfg.kkt_eps and r_g <= cfg.kkt_eps
         history.append(
@@ -408,7 +390,7 @@ def solve_capacity(
             best = (pi, info, r_s, r_g)
         if passed:
             break
-        violation = (x_viol,)
+        violation = x_viol
 
     pi, info, r_s, r_g = best
     return SolveReport(

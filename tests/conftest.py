@@ -29,8 +29,7 @@ def solve_08_timed():
 @pytest.fixture(scope="session")
 def solved_a4():
     """Capacity solve at A = 4 for probe-style tests."""
-    cfg = SolveConfig(seed=0)
-    return cfg, solve_capacity(4.0, cfg)
+    return solve_capacity(4.0, SolveConfig(seed=0))
 
 
 @pytest.fixture(scope="session")

@@ -118,7 +118,7 @@ class TestAcceptance:
         violations = 0
         worst_margin = math.inf
         for pi in tv_probe_instances:
-            bound = certified_tv_lower_bound_maxnorm(pi, pi.A)
+            bound = certified_tv_lower_bound_maxnorm(pi)
             measured = tv_distance(pi)
             worst_margin = min(worst_margin, measured - bound)
             if measured < bound - 1e-8:
@@ -167,7 +167,7 @@ class TestAcceptance:
 
         report_a4 = next(rep for rec, rep in zip(records, reports)
                          if rec.A == 4.0 and rep is not None)
-        parts = theorem2_probe(4.0, solution=report_a4.input)
+        parts = theorem2_probe(report_a4.input)
         total = tv_distance(report_a4.input)
         additivity = abs(sum(parts) - total)
         ok = decreasing and endpoints and additivity <= 1e-8

@@ -133,15 +133,15 @@ class TestMaxnormBound:
         pi = DiscreteInput(A=A, locations=(0.0,), weights=(1.0,))
         delta = base_frequency(A)
         expected = 0.5 * math.exp(-0.5 * delta**2)
-        assert certified_tv_lower_bound_maxnorm(pi, A) == pytest.approx(expected, rel=1e-13)
-        _, argmax_k = certified_tv_lower_bound_maxnorm_log(pi, A)
+        assert certified_tv_lower_bound_maxnorm(pi) == pytest.approx(expected, rel=1e-13)
+        _, argmax_k = certified_tv_lower_bound_maxnorm_log(pi)
         assert argmax_k == 1
 
     def test_rigorous_ordering_vs_measured_tv(self):
         rng = np.random.default_rng(53)
         for _ in range(8):
             pi = random_input(rng, k_lo=1, k_hi=5, a_lo=1.0, a_hi=6.0)
-            bound = certified_tv_lower_bound_maxnorm(pi, pi.A)
+            bound = certified_tv_lower_bound_maxnorm(pi)
             measured = tv_distance(pi)
             assert measured >= bound - 1e-8
 
@@ -152,8 +152,8 @@ class TestMaxnormBound:
         pi1 = DiscreteInput.normalized(A, locs, ws)
         order = [2, 0, 1]
         pi2 = DiscreteInput.normalized(A, [locs[i] for i in order], [ws[i] for i in order])
-        assert certified_tv_lower_bound_maxnorm(pi1, A) == pytest.approx(
-            certified_tv_lower_bound_maxnorm(pi2, A), rel=1e-14
+        assert certified_tv_lower_bound_maxnorm(pi1) == pytest.approx(
+            certified_tv_lower_bound_maxnorm(pi2), rel=1e-14
         )
 
     def test_log_space_survives_underflow(self):
@@ -167,9 +167,9 @@ class TestMaxnormBound:
         assert log_cf == pytest.approx(math.log(0.25) - 2 * (math.pi * 20.0) ** 2, rel=1e-14)
         locs = np.linspace(-A, A, K)
         pi = DiscreteInput.normalized(A, locs, np.full(K, 1.0 / K))
-        log_bound, _ = certified_tv_lower_bound_maxnorm_log(pi, A)
+        log_bound, _ = certified_tv_lower_bound_maxnorm_log(pi)
         assert math.isfinite(log_bound)
-        linear = certified_tv_lower_bound_maxnorm(pi, A)
+        linear = certified_tv_lower_bound_maxnorm(pi)
         assert linear == pytest.approx(math.exp(log_bound), rel=1e-13)
 
 
@@ -212,7 +212,7 @@ class TestRankRouteBound:
         # K=1 at the origin: T_2 is the all-ones 3x3 matrix, gap = sqrt(6)
         A = 50.0
         pi = DiscreteInput(A=A, locations=(0.0,), weights=(1.0,))
-        gap, implied = rank_route_bound(pi, A)
+        gap, implied = rank_route_bound(pi)
         assert gap == pytest.approx(SQRT6, rel=1e-12)
         assert implied >= 0.0
 
@@ -221,7 +221,7 @@ class TestRankRouteBound:
         rng = np.random.default_rng(59)
         for _ in range(25):
             pi = random_input(rng, k_lo=1, k_hi=10, a_lo=1.0, a_hi=20.0)
-            gap, _ = rank_route_bound(pi, pi.A)
+            gap, _ = rank_route_bound(pi)
             assert gap >= math.sqrt(pi.k + 1) - 1e-9
             # oracle route: the remainder's singular values say the same
             T = moment_matrix(pi, 2 * pi.k, base_frequency(pi.A))
@@ -232,7 +232,7 @@ class TestRankRouteBound:
         rng = np.random.default_rng(61)
         for _ in range(5):
             pi = random_input(rng, k_lo=1, k_hi=4, a_lo=1.5, a_hi=5.0)
-            _, implied = rank_route_bound(pi, pi.A)
+            _, implied = rank_route_bound(pi)
             measured = tv_distance(pi)
             assert implied <= measured + 1e-8
 
@@ -271,7 +271,7 @@ class TestCertificateReport:
         for _ in range(10):
             pi = random_input(rng, k_lo=1, k_hi=12, a_lo=1.0, a_hi=30.0)
             rep = certificate_report(pi)
-            gap, implied = rank_route_bound(pi, pi.A)
+            gap, implied = rank_route_bound(pi)
             T = moment_matrix(pi, 2 * pi.k, base_frequency(pi.A))
             assert (rep.frobenius_gap, rep.rank_route) == (gap, implied)
             assert rep.numerical_rank == numerical_rank(T)

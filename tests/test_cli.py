@@ -195,7 +195,7 @@ class TestProbeCli:
                            history=(), wall_time_s=0.0, eps=1e-6, seed=0)
         monkeypatch.setattr(cli, "solve_capacity", lambda *a, **k: fake)
         monkeypatch.setattr(cli, "theorem2_probe",
-                            lambda A, cfg, solution=None: (0.01, 0.02, 0.01))
+                            lambda pi: (0.01, 0.02, 0.01))
         rc = main(["probe", "--amplitude", "4"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -211,7 +211,7 @@ class TestProbeCli:
                            history=(), wall_time_s=0.0, eps=1e-6, seed=0)
         monkeypatch.setattr(cli, "solve_capacity", lambda *a, **k: fake)
         monkeypatch.setattr(cli, "theorem2_probe",
-                            lambda A, cfg, solution=None: (0.1, 0.1, 0.1))
+                            lambda pi: (0.1, 0.1, 0.1))
         assert main(["probe", "--amplitude", "4"]) == 2
         capsys.readouterr()
 

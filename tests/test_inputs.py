@@ -5,16 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import acawgn.inputs as inputs
 from acawgn import (
     DiscreteInput,
     QuadratureNonConvergence,
     kkt_residual,
-    mixture_density,
     mutual_information,
     solve_capacity,
-    std_normal_pdf,
 )
 
 from oracles import (
@@ -73,28 +72,42 @@ class TestDiscreteInput:
         assert set(payload) == {"A", "points", "weights"}
 
 
+def _log_f(pi, y):
+    """log f of ``pi`` at the points ``y``, by the library's log-mixture kernel."""
+    locs, ws = pi.as_arrays()
+    return inputs._log_mixture(locs, np.log(ws), np.asarray(y, dtype=float))
+
+
 class TestMixtureDensity:
     def test_point_mass_is_standard_normal(self):
-        f = mixture_density(DiscreteInput(A=1.0, locations=(0.0,), weights=(1.0,)))
         ys = np.linspace(-8, 8, 101)
-        assert np.allclose(f(ys), std_normal_pdf(ys), rtol=0, atol=1e-16)
+        pi = DiscreteInput(A=1.0, locations=(0.0,), weights=(1.0,))
+        assert np.allclose(_log_f(pi, ys), norm.logpdf(ys), rtol=1e-15, atol=1e-15)
 
     def test_symmetric_pair_at_origin(self):
-        f = mixture_density(DiscreteInput(A=1.0, locations=(-1.0, 1.0), weights=(0.5, 0.5)))
-        assert f(0.0) == pytest.approx(std_normal_pdf(1.0), abs=1e-17)
+        pi = DiscreteInput(A=1.0, locations=(-1.0, 1.0), weights=(0.5, 0.5))
+        assert _log_f(pi, [0.0])[0] == pytest.approx(norm.logpdf(1.0), rel=1e-15)
 
     def test_random_mixture_normalized(self):
+        # the oracle's density, which _quadpack_i and the QUADPACK routes use,
+        # integrates to one and agrees with the library's kernel
         for _ in range(5):
             pi = random_input(RNG)
-            f = mixture_density(pi)
-            total = quad_oracle(f, -pi.A - 10.0, pi.A + 10.0)
+            total = quad_oracle(lambda y: math.exp(log_mixture_pdf(pi.locations, pi.weights, y)),
+                                -pi.A - 10.0, pi.A + 10.0)
             assert total == pytest.approx(1.0, abs=1e-9)
+            ys = RNG.uniform(-pi.A - 10.0, pi.A + 10.0, 40)
+            assert np.allclose(_log_f(pi, ys), log_mixture_pdf(pi.locations, pi.weights, ys),
+                               rtol=1e-13, atol=1e-13)
 
     def test_even_input_even_density(self):
+        # an even input has an even output density, and so an even i(x):
+        # mirrored atoms carry equal information densities
         pi = DiscreteInput(A=2.0, locations=(-1.7, 0.0, 1.7), weights=(0.3, 0.4, 0.3))
-        f = mixture_density(pi)
         ys = RNG.uniform(0, 6, 40)
-        assert np.allclose(f(ys), f(-ys), rtol=1e-13, atol=1e-300)
+        assert np.allclose(_log_f(pi, ys), _log_f(pi, -ys), rtol=1e-13, atol=0)
+        i_vec = _info_at_atoms(pi)
+        assert i_vec[0] == pytest.approx(i_vec[-1], rel=1e-13, abs=1e-15)
 
 
 class TestMutualInformation:
@@ -127,11 +140,11 @@ def _info_at_atoms(pi):
 
 def _quadpack_i(pi, x):
     """i(x) = KL(phi(. - x) || f) of ``pi`` by QUADPACK."""
-    f = mixture_density(pi)
-
     def integrand(y):
-        py = std_normal_pdf(y - x)
-        return py * (math.log(py) - math.log(f(y))) if py > 0 else 0.0
+        py = norm.pdf(y - x)
+        if py <= 0.0:
+            return 0.0
+        return py * (math.log(py) - log_mixture_pdf(pi.locations, pi.weights, y))
 
     return quad_oracle(integrand, x - 12, x + 12)
 
@@ -215,9 +228,9 @@ def _quadpack_info_stats(pi):
     i_vec, d_loc = [], []
     for x, w in zip(locs, ws):
         i_vec.append(-half_log_2pi_e - integral(
-            lambda y: std_normal_pdf(y - x) * log_f(y), x - 12.0, x + 12.0))
+            lambda y: norm.pdf(y - x) * log_f(y), x - 12.0, x + 12.0))
         d_loc.append(-w * integral(
-            lambda y: (y - x) * std_normal_pdf(y - x) * log_f(y), x - 12.0, x + 12.0))
+            lambda y: (y - x) * norm.pdf(y - x) * log_f(y), x - 12.0, x + 12.0))
     entropy = integral(lambda y: -math.exp(log_f(y)) * log_f(y), -pi.A - 12.0, pi.A + 12.0)
     return entropy - half_log_2pi_e, np.array(i_vec), np.array(d_loc)
 

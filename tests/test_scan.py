@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from acawgn import (
     CSV_COLUMNS,
@@ -15,13 +16,11 @@ from acawgn import (
     certificate_report,
     dytso_lower_bound,
     fit_scaling,
-    mixture_density,
     records_to_csv,
     records_to_json,
     scan,
     scan_detailed,
     solve_capacity,
-    std_normal_cdf,
     theorem2_probe,
     tv_distance,
 )
@@ -250,37 +249,33 @@ class TestNoAdaptiveQuadrature:
         monkeypatch.setattr(numerics, "_eval_panels", refuse)
         pi = DiscreteInput(A=3.0, locations=(-3.0, 0.0, 3.0), weights=(0.4, 0.2, 0.4))
         assert certificate_report(pi, measure_tv=True).measured_tv > 0.0
-        assert all(r.converged and r.tv_uniform > 0.0 for r in scan([4.0, 5.0]))
-        assert all(part > 0.0 for part in theorem2_probe(4.0))
+        records, reports = scan_detailed([4.0, 5.0])
+        assert all(r.converged and r.tv_uniform > 0.0 for r in records)
+        assert all(part > 0.0 for part in theorem2_probe(reports[0].input))
 
 
 class TestTheorem2Probe:
     def test_requires_large_amplitude(self):
         with pytest.raises(ValueError):
-            theorem2_probe(3.0)
+            theorem2_probe(DiscreteInput(A=3.0, locations=(-3.0, 3.0), weights=(0.5, 0.5)))
 
     def test_parts_structure(self, solved_a4):
-        cfg, report = solved_a4
-        left, middle, right = theorem2_probe(4.0, cfg, solution=report.input)
+        left, middle, right = theorem2_probe(solved_a4.input)
         assert left >= 0 and middle >= 0 and right >= 0
-        total = tv_distance(report.input)
+        total = tv_distance(solved_a4.input)
         assert left + middle + right == pytest.approx(total, abs=1e-13)
         # symmetric input: the two tails match
         assert left == pytest.approx(right, abs=1e-13)
 
     def test_middle_below_bulk_deviation(self, solved_a4):
-        cfg, report = solved_a4
-        A = 4.0
-        B = A - math.sqrt(A)
-        _, middle, _ = theorem2_probe(A, cfg, solution=report.input)
-        dev = bulk_sup_deviation(mixture_density(report.input), A, B)
-        assert middle <= dev
+        _, middle, _ = theorem2_probe(solved_a4.input)
+        assert middle <= bulk_sup_deviation(solved_a4.input)
 
     def test_uniform_tail_mass_bound(self):
         # closed-form tail oracle: mass of f_unif beyond B is below
         # (A - B + 10)/(2A) plus a 10-sigma Gaussian tail
         A = 4.0
         B = A - 2.0
-        tail = quad_oracle(lambda t: (std_normal_cdf(A - t) - std_normal_cdf(-A - t)) / (2 * A),
+        tail = quad_oracle(lambda t: (ndtr(A - t) - ndtr(-A - t)) / (2 * A),
                            B, A + 12)
-        assert tail <= (A - B + 10.0) / (2 * A) + (1 - std_normal_cdf(10.0))
+        assert tail <= (A - B + 10.0) / (2 * A) + (1 - ndtr(10.0))

@@ -118,7 +118,6 @@ class TestSolveFixedK:
         from acawgn.solver import _initial_param, _pg_maximize
 
         A = 3.0
-        cfg = SolveConfig()
         rng = np.random.default_rng(5)
         for K in (4, 5):
             start = _initial_param(A, K)
@@ -129,7 +128,7 @@ class TestSolveFixedK:
                 v=start.v * rng.uniform(0.5, 1.5, start.v.shape),
             )
             for p0 in (start, perturbed):
-                p, info, _, _ = _pg_maximize(p0, cfg, [])
+                p, info, _, _ = _pg_maximize(p0, [])
                 assert abs(np.dot(p.weight_constraint(), p.v) - 1.0) <= 1e-10
                 z = np.concatenate([p.x, p.v])
                 lo, hi = np.array(p.bounds()).T
@@ -141,7 +140,7 @@ class TestSolveFixedK:
         binary = DiscreteInput(A=A, locations=(-A, A), weights=(0.5, 0.5))
         # the equispaced start, and a warm start padded with a zero-weight pair
         for K, init in ((4, None), (5, binary)):
-            pi, info, *_ = solve_fixed_k(A, K, init=init, prefer_locations=(1.0,))
+            pi, info, *_ = solve_fixed_k(A, K, init=init, violation=1.0)
             locs, ws = pi.as_arrays()
             assert np.all(np.abs(locs) <= A)
             assert np.all(ws >= 0.0)
@@ -158,10 +157,6 @@ class TestSolveFixedK:
 class TestSolveConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolveConfig(initial_k=0)
-        with pytest.raises(ValueError):
-            SolveConfig(initial_k=5, max_k=3)
-        with pytest.raises(ValueError):
             SolveConfig(kkt_eps=0.0)
         with pytest.raises(ValueError):
             SolveConfig(max_k=0)
@@ -170,7 +165,6 @@ class TestSolveConfig:
         assert SolveConfig().max_k_for(5.0) == 40
         assert SolveConfig().max_k_for(40.0) == 80
         assert SolveConfig().max_k_for(20.5) == 42
-        assert SolveConfig(initial_k=45).max_k_for(3.0) == 45
         assert SolveConfig(max_k=10).max_k_for(40.0) == 10
 
 
@@ -226,9 +220,22 @@ class TestSolveCapacity:
         assert capped.history[0].k_tried == 3
 
     def test_max_k_exhaustion_flags_incomplete(self):
-        rep = solve_capacity(5.0, SolveConfig(initial_k=2, max_k=2, max_iters=400))
+        rep = solve_capacity(5.0, SolveConfig(max_k=3))
         assert not rep.converged
-        assert rep.history[-1].k_tried == 2
+        assert [h.k_tried for h in rep.history] == [3]
+
+    def test_start_smaller_than_first_level(self):
+        # the A = 1 input has 2 atoms; scaled to A = 10 it fills the first
+        # level (K = 5) with one zero-weight pair at the middle of its widest
+        # gap, and the later levels are those of a cold solve
+        start = solve_capacity(1.0).input
+        assert start.k == 2
+        rep = solve_capacity(10.0, start=start)
+        cold = solve_capacity(10.0)
+        ladder = [h.k_tried for h in rep.history]
+        assert ladder == [h.k_tried for h in cold.history] == [5, 7, 9, 11]
+        assert rep.converged and rep.k == cold.k == 11
+        assert abs(rep.capacity_nats - cold.capacity_nats) <= 1e-12
 
     @pytest.mark.parametrize(
         "A, K, C, ladder",
@@ -242,8 +249,8 @@ class TestSolveCapacity:
         calls = []   # (K, init, solved input) per solve_fixed_k call
         real = solver.solve_fixed_k
 
-        def counted(A_, K_, config=None, init=None, **kwargs):
-            out = real(A_, K_, config, init=init, **kwargs)
+        def counted(A_, K_, init=None, **kwargs):
+            out = real(A_, K_, init=init, **kwargs)
             calls.append((K_, init, out[0]))
             return out
 
