@@ -338,6 +338,11 @@ def tv_distance(pi) -> float:
     return float(_tv_parts(pi.A, *pi.as_arrays()).sum())
 
 
+# Largest number of float64 values in one (atom, grid point) temporary of
+# bulk_sup_deviation (512 KB); for A >= 10 its grid has about 20*A*B points.
+_BULK_CHUNK = 1 << 16
+
+
 def bulk_sup_deviation(pi) -> float:
     """Grid approximation of sup_{|x| <= B} |2*A*f(x) - 1|, B = A - sqrt(A).
 
@@ -362,7 +367,8 @@ def bulk_sup_deviation(pi) -> float:
     pitch = min(0.01, 1.0 / (10.0 * A))
     n = max(3, int(math.ceil(2.0 * B / pitch)) + 1)
     grid = np.linspace(-B, B, n)
-    coarse = dev(grid)
+    step = max(1, _BULK_CHUNK // locs.size)
+    coarse = np.concatenate([dev(grid[s:s + step]) for s in range(0, n, step)])
     j = int(np.argmax(coarse))
     # One refinement pass around the coarse argmax.
     step = grid[1] - grid[0]

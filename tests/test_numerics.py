@@ -269,6 +269,29 @@ class TestBulkSupDeviation:
         edge = ndtr(-math.sqrt(A)) + ndtr(math.sqrt(A) - 2.0 * A)
         assert bulk_sup_deviation(pi) == pytest.approx(edge, abs=1e-8)
 
+    def test_edge_deviation_near_half(self):
+        # atoms uniform on the bulk itself: the output plateau is A/B times
+        # the uniform level and sits at half of that at x = +-B, so the sup
+        # is at the edge, 1 - (A/B)(1/2 - Phi(-2B)), which nears 1/2 as A grows
+        for A in (16.0, 25.0):
+            B = A - math.sqrt(A)
+            w = np.ones(int(round(2.0 * B / 0.1)) + 1)
+            w[[0, -1]] = 0.5
+            pi = DiscreteInput.normalized(A, np.linspace(-B, B, w.size), w / w.sum())
+            edge = 1.0 - (A / B) * (0.5 - ndtr(-2.0 * B))
+            assert bulk_sup_deviation(pi) == pytest.approx(edge, abs=1e-8)
+
+    def test_exact_uniform_gives_zero(self):
+        # atoms 0.64 apart over all of [-A, A] with trapezoid weights: the
+        # output is 1/(2A) up to the comb's aliasing 2 exp(-2 pi^2 / 0.64^2)
+        # < 1e-20 and the missing tail Phi(-sqrt(A)) < 1e-15 at A = 64, so
+        # what remains is the rounding of the K-term sum, under K ulp
+        A = 64.0
+        w = np.ones(201)
+        w[[0, -1]] = 0.5
+        pi = DiscreteInput.normalized(A, np.linspace(-A, A, 201), w / w.sum())
+        assert bulk_sup_deviation(pi) <= ndtr(-math.sqrt(A)) + w.size * np.finfo(float).eps
+
     @pytest.mark.parametrize("A", [4.0, 8.0, 20.0])
     def test_matches_brute_force_sup(self, A):
         # the sup of |2A f - 1| over a 1e-4 grid of [-B, B], f summed from
