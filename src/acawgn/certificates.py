@@ -15,8 +15,8 @@ rank deficit of the moment matrix against the identity, and the closed-form
 floor (1/4) exp(-2 pi^2 K^2 / A^2) that depends on K/A only.
 
 Moments are plain ndarrays (t_0..t_n, with t_{-k} = conj(t_k), and the
-matrix T_n); ``certificate_report`` builds T_2K once and reads both the
-Frobenius gap and the numerical rank from it.
+matrix T_n); ``certificate_report`` builds T_2K once and reads the max-norm
+bound, the Frobenius gap and the numerical rank from it.
 
 The exponential factors underflow doubles once K is a few multiples of A, so
 every bound is computed (and reported) in log-space alongside its linear
@@ -92,9 +92,13 @@ def certified_tv_lower_bound_maxnorm_log(pi: DiscreteInput) -> tuple[float, int]
     moment up to 2K vanishes (impossible for a K-atom input, but kept total).
     """
     delta = base_frequency(pi.A)
-    K = pi.k
-    mags = np.abs(trig_moment_sequence(pi, 2 * K, delta)[1:])  # |t_1| .. |t_2K|
-    ks = np.arange(1, 2 * K + 1)
+    return _maxnorm_log(trig_moment_sequence(pi, 2 * pi.k, delta), delta)
+
+
+def _maxnorm_log(t: np.ndarray, delta: float) -> tuple[float, int]:
+    """certified_tv_lower_bound_maxnorm_log from the moments t_0..t_2K."""
+    mags = np.abs(t[1:])  # |t_1| .. |t_2K|
+    ks = np.arange(1, mags.size + 1)
     with np.errstate(divide="ignore"):
         logs = -0.5 * (ks * delta) ** 2 + np.log(mags) - math.log(2.0)
     j = int(np.argmax(logs))
@@ -220,9 +224,9 @@ def certificate_report(pi: DiscreteInput, measure_tv: bool = False) -> Certifica
     A = pi.A
     K = pi.k
     delta = base_frequency(A)
-    log_mb, argmax_k = certified_tv_lower_bound_maxnorm_log(pi)
-    maxnorm = math.exp(log_mb) if log_mb > -745.0 else 0.0
     T = moment_matrix(pi, 2 * K, delta)
+    log_mb, argmax_k = _maxnorm_log(T[0], delta)  # row 0 holds t_1 .. t_2K
+    maxnorm = math.exp(log_mb) if log_mb > -745.0 else 0.0
     gap, implied = _rank_route(T, K, delta)
     rank = numerical_rank(T)
     measured = None

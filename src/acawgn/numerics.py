@@ -221,8 +221,10 @@ def adaptive_quad(
 # [-A-_TV_PAD, A+_TV_PAD], outside which both densities are below 1e-31
 # (every atom lies in [-A, A]).  A cell that cannot be shown to hold no
 # root, or exactly one, is split _TV_SPLIT ways, until a pair of roots it
-# might still hide would enclose less than _TV_MISSED_AREA of |g|.  Each bracket
-# is then cut _TV_SECTIONS ways, _TV_ROUNDS times, keeping the first piece
+# might still hide would enclose less than _TV_MISSED_AREA of |g|.  Every
+# piece keeps the curvature bound of its first-pass cell: a sup over a cell
+# bounds every piece of it, and each bound costs a (K x cells) pass.  Each
+# bracket is then cut _TV_SECTIONS ways, _TV_ROUNDS times, keeping the first piece
 # whose ends differ in sign, so that every bracket still holds a sign change
 # and shrinks 16^8 = 2^32-fold.  A typical input has a few brackets, where a
 # call of g costs its overhead, not its arithmetic; so few calls on 15 points
@@ -286,10 +288,10 @@ def _tv_roots(A: float, locs, ws) -> np.ndarray:
     y = np.linspace(-span, span, math.ceil(2.0 * span / _TV_PITCH) + 1)
     g = _mixture_minus_uniform(A, locs, ws, y)
     a, b, ga, gb = y[:-1], y[1:], g[:-1], g[1:]
+    M = _curvature_bound(A, locs, ws, a, b)
     brackets = []
     while a.size:
         s = b - a
-        M = _curvature_bound(A, locs, ws, a, b)
         change = (ga >= 0.0) != (gb >= 0.0)
         # Same signs: |g| >= min(|g(a)|, |g(b)|) - M s^2/8 > 0 on the cell.
         # A change: |g'| >= |g(b) - g(a)|/s - M s > 0, so exactly one root.
@@ -300,6 +302,7 @@ def _tv_roots(A: float, locs, ws) -> np.ndarray:
             settled[:] = True
         brackets.append((a[settled & change], b[settled & change], ga[settled & change]))
         a, b, ga, gb = a[~settled], b[~settled], ga[~settled], gb[~settled]
+        M = np.repeat(M[~settled], _TV_SPLIT)
         t = a[:, None] + (b - a)[:, None] * (np.arange(_TV_SPLIT + 1) / _TV_SPLIT)
         inner = _mixture_minus_uniform(A, locs, ws, t[:, 1:-1].ravel())
         gt = np.column_stack([ga, inner.reshape(a.size, _TV_SPLIT - 1), gb])

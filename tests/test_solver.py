@@ -237,6 +237,15 @@ class TestSolveCapacity:
         assert rep.converged and rep.k == cold.k == 11
         assert abs(rep.capacity_nats - cold.capacity_nats) <= 1e-12
 
+    @pytest.mark.parametrize("A, K, most", [(12.0, 13, 100), (20.0, 23, 300)],
+                             ids=["A12", "A20"])
+    def test_cold_solve_iteration_budget(self, A, K, most):
+        # SLSQP measures pair locations in units of 1/K (see _pg_maximize);
+        # in the raw coordinates these solves took 144 and 544 iterations
+        rep = solve_capacity(A)
+        assert rep.converged and rep.k == K
+        assert sum(h.opt_iters for h in rep.history) <= most
+
     @pytest.mark.parametrize(
         "A, K, C, ladder",
         [(8.0, 9, 1.5758716926530236, [5, 7, 9]),
