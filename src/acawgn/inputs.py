@@ -16,8 +16,8 @@ one uniform grid over [-A-10, A+10], at pitch h = min(0.25, 0.5/max_gap)
 (``max_gap`` is the largest gap between adjacent atoms).  The integrands are
 analytic and decay like Gaussians, so the rule converges geometrically in
 the pitch (Trefethen & Weideman, SIAM Review 56(3), 2014).  ``kkt_residual``
-checks its pitch against the sum at twice it, and interpolates i(x) over
-[-A, A] from one short FFT.  No adaptive quadrature runs here.
+checks its pitch against the sum at twice it, and maximizes i(x) by Newton's
+method from the peaks of one FFT of the samples.  No adaptive quadrature.
 
 Inputs are immutable after construction; all operations are pure.
 """
@@ -68,17 +68,12 @@ _CHUNK = 1 << 14
 # at 2h still leaves an error near 1e-10 at h.
 _PITCH_TOL = 1e-5
 
-# The KKT scan interpolates i(x) by FFT unless its x-grid pitch is more than
-# this many times finer than the trapezoid pitch h: the inverse FFT runs at
-# the x-grid pitch, and past that direct sums at pitch h are cheaper.  On a
-# 2-core x86 machine, with h = 0.25 and 2001 points, the FFT took 0.34-0.37
-# ms at A = 1 (ratio 250) against 0.72-0.74 ms direct; between ratios 250
-# and 500 (A = 0.5, a tie) it won or lost with the largest prime factor of
-# the interpolation factor (1.0 against 0.73 ms at A = 0.9, factor 277).
-_FFT_MAX_RATIO = 250
-
-# Points of the KKT scan's equispaced x-grid over [-A, A].
-_KKT_GRID_POINTS = 2001
+# The KKT scan's Newton polish stops at a peak once the next step would
+# raise i by less than _NEWTON_GAIN, or after _NEWTON_CAP steps.  From a
+# sample within h/2 of the peak it took at most 4 direct-sum rounds on the
+# scan-sweep solves and on 192 certify-batch inputs.
+_NEWTON_GAIN = 1e-15
+_NEWTON_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -138,31 +133,27 @@ class DiscreteInput:
         if np.any(ws < -1e-12):
             raise ValueError("weights must be nonnegative")
         ws = np.maximum(ws, 0.0)
+        # Clip before merging, so that atoms beyond A which land on the same
+        # end point merge into one.
+        locs = np.clip(locs, -A, A)
         order = np.argsort(locs, kind="stable")
         locs, ws = locs[order], ws[order]
-        out_x, out_w = [], []
-        cur_x, cur_w = locs[0], ws[0]
+        out = [[locs[0], ws[0]]]
         for x, w in zip(locs[1:], ws[1:]):
-            if x - cur_x <= merge_tol:
-                tot = cur_w + w
-                cur_x = (cur_x * cur_w + x * w) / tot if tot > 0 else 0.5 * (cur_x + x)
-                cur_w = tot
+            cur = out[-1]
+            if x - cur[0] <= merge_tol:
+                tot = cur[1] + w
+                cur[0] = (cur[0] * cur[1] + x * w) / tot if tot > 0 else 0.5 * (cur[0] + x)
+                cur[1] = tot
             else:
-                out_x.append(cur_x)
-                out_w.append(cur_w)
-                cur_x, cur_w = x, w
-        out_x.append(cur_x)
-        out_w.append(cur_w)
-        x_arr = np.array(out_x)
-        w_arr = np.array(out_w)
+                out.append([x, w])
+        x_arr, w_arr = np.array(out).T
         keep = w_arr > PRUNE_TOL
         if not keep.any():
             # Degenerate input (all mass pruned): keep the heaviest atom.
             keep = w_arr == w_arr.max()
         x_arr, w_arr = x_arr[keep], w_arr[keep]
-        x_arr = np.clip(x_arr, -A, A)
-        w_arr = w_arr / w_arr.sum()
-        return cls(A=float(A), locations=tuple(x_arr), weights=tuple(w_arr))
+        return cls(A=float(A), locations=tuple(x_arr), weights=tuple(w_arr / w_arr.sum()))
 
     @property
     def k(self) -> int:
@@ -231,19 +222,16 @@ def _samples(A: float, locs: np.ndarray, ws: np.ndarray, pitch: float):
     return y, lf
 
 
-def _marginal_info_batch(y, lf, pitch, xs, moment=False):
-    """i(x) for every x in ``xs``, by direct trapezoid sums over log f samples.
+def _marginal_info_batch(y, lf, pitch, xs, derivatives=0):
+    """Rows i(x), i'(x), i''(x) (the first 1 + ``derivatives``) for every x in ``xs``.
 
-    ``y`` and ``lf`` are samples from ``_samples`` at ``pitch``.  With
-    ``moment``, the second result holds integral (y - x) phi(y - x) log f(y) dy
-    for each x; otherwise it is None.  The sums run over chunks of ``xs`` so
-    that no temporary holds more than _CHUNK values, or one row if that is
-    longer.
+    i(x) = -0.5*log(2*pi*e) - integral phi(y - x) log f(y) dy, by direct sums
+    over the samples ``y``, ``lf`` that ``_samples`` took at ``pitch``.  Chunks
+    of ``xs`` keep each temporary within _CHUNK values, or one row.
     """
     xs = np.asarray(xs, dtype=float)
-    g = (pitch * INV_SQRT_2PI) * lf
-    s0 = np.empty(xs.size)
-    s1 = np.empty(xs.size) if moment else None
+    g = (-pitch * INV_SQRT_2PI) * lf
+    out = np.empty((1 + derivatives, xs.size))
     step = max(1, _CHUNK // y.size)
     # A threaded BLAS dot of one row waits on any busy core; einsum does not
     # thread.  On many rows the matrix product is 1.2-2x faster than einsum.
@@ -253,27 +241,30 @@ def _marginal_info_batch(y, lf, pitch, xs, moment=False):
         phi = d * d
         phi *= -0.5
         np.exp(phi, out=phi)
-        s0[s:s + step] = dot(phi, g)
-        if moment:
+        out[0, s:s + step] = dot(phi, g)
+        for row in range(1, 1 + derivatives):
             phi *= d
-            s1[s:s + step] = dot(phi, g)
-    return -HALF_LOG_2PI_E - s0, s1
+            out[row, s:s + step] = dot(phi, g)
+    if derivatives == 2:
+        out[2] -= out[0]
+    out[0] -= HALF_LOG_2PI_E
+    return out
 
 
 def _info_stats(A: float, locs: np.ndarray, ws: np.ndarray, want_locations: bool = False):
     """I, every i(x_j) and, with ``want_locations``, every dI/dx_j, in one pass.
 
     All three come from one set of log f samples at pitch ``_pitch(locs)``:
-    i(x_j) = -0.5*log(2*pi*e) - integral phi(y - x_j) log f(y) dy,
-    I = sum_j w_j i(x_j) and dI/dx_j = -w_j * integral (y - x_j) phi(y - x_j) log f(y) dy.
+    I = sum_j w_j i(x_j) and dI/dx_j = w_j * i'(x_j), with i and i' as in
+    ``_marginal_info_batch``.
     """
     locs = np.asarray(locs, dtype=float)
     ws = np.asarray(ws, dtype=float)
     pitch = _pitch(locs)
     y, lf = _samples(A, locs, ws, pitch)
-    i_vec, m1 = _marginal_info_batch(y, lf, pitch, locs, want_locations)
-    d_loc = -ws * m1 if want_locations else None
-    return float(ws @ i_vec), i_vec, d_loc
+    rows = _marginal_info_batch(y, lf, pitch, locs, int(want_locations))
+    d_loc = ws * rows[1] if want_locations else None
+    return float(ws @ rows[0]), rows[0], d_loc
 
 
 def mutual_information(pi: DiscreteInput) -> float:
@@ -285,79 +276,88 @@ def mutual_information(pi: DiscreteInput) -> float:
     return _info_stats(pi.A, *pi.as_arrays())[0]
 
 
-def _convolved_info(lf: np.ndarray, pitch: float, m: int, every: int, n: int) -> np.ndarray:
-    """i(x) at x = -A + g*every*pitch/m, g < n, by Fourier interpolation.
+def _convolved_info(lf: np.ndarray, pitch: float, n: int) -> np.ndarray:
+    """Rows i, i', i'' of ``_marginal_info_batch`` at the samples -A + g*pitch, g < n.
 
-    ``lf`` holds ``_samples`` at ``pitch``; sample ceil(10/pitch) sits at -A.
-    One rfft at a length L >= lf.size (2^k or 3*2^k), times phi's spectrum
-    exp(-omega^2/2), zero-padded to m*L and inverted, gives the trapezoid
-    sums at pitch/m.
+    One rfft of ``lf`` (from ``_samples``) at a length L >= lf.size (2^k or
+    3*2^k), times phi's spectrum exp(-omega^2/2) and -1, -i*omega or omega^2,
+    inverted at the same length.
     """
-    # As a function of x, pitch * sum_k phi(y_k - x) log f(y_k) is band-limited
-    # to |omega| < pi/pitch up to exp(-(pi/pitch)^2/2) < 1e-34, so trigonometric
-    # interpolation is exact; wrapped terms come from samples at least 10 away,
-    # where phi is below 1e-22.
+    # The circular convolution wraps in only terms from samples at least 10
+    # away, where phi is below 1e-22.  The sampled phi's spectrum differs from
+    # exp(-omega^2/2) by its aliases, below exp(-(pi/pitch)^2/2) < 1e-34.
     size = 1 << (lf.size - 1).bit_length()
     if 3 * size // 4 >= lf.size:
         size = 3 * size // 4
     omega = (2.0 * math.pi / (size * pitch)) * np.arange(size // 2 + 1)
-    conv = np.fft.irfft(np.fft.rfft(lf, size) * (m * np.exp(-0.5 * omega * omega)), m * size)
-    return -HALF_LOG_2PI_E - conv[math.ceil(TAIL_PAD / pitch) * m + every * np.arange(n)]
+    spectrum = np.fft.rfft(lf, size) * np.exp(-0.5 * omega * omega)
+    factors = np.stack([np.full(omega.size, -1.0), -1j * omega, omega * omega])
+    rows = np.fft.irfft(spectrum * factors, size)[:, math.ceil(TAIL_PAD / pitch) + np.arange(n)]
+    rows[0] -= HALF_LOG_2PI_E
+    return rows
 
 
 def _kkt_scan(pi: DiscreteInput) -> tuple[float, float, float]:
     """(r_support, r_global, argmax x of the global violation).
 
-    log f is sampled once, at the pitch P = m*step/every <= h (m, every
-    integers, step the pitch of the _KKT_GRID_POINTS-point x-grid).  i(x) on
-    the x-grid comes from Fourier interpolation of those samples, or from
-    direct sums when the x-grid is more than _FFT_MAX_RATIO times finer than
-    h.  I, i(x_j) and the refinement windows are direct sums on the same
-    samples.  Raises QuadratureNonConvergence when I at P and at 2P differ
-    by more than _PITCH_TOL.
+    log f is sampled at the pitch h of ``_info_stats``, so I is the solve's.
+    i, i' and i'' come from ``_convolved_info`` at the samples below A and
+    from direct sums at A and at the bracketed Newton iterates from every
+    sampled peak that can still hold the supremum.  Raises
+    QuadratureNonConvergence when I at h and at 2h differ by over _PITCH_TOL.
     """
     A = pi.A
     locs, ws = pi.as_arrays()
     h = _pitch(locs)
-    step = 2.0 * A / (_KKT_GRID_POINTS - 1)
-    every = math.ceil(step / h)
-    m = max(1, int(h * every / step))
-    pitch = step / every * m
-    y, lf = _samples(A, locs, ws, pitch)
+    y, lf = _samples(A, locs, ws, h)
 
     neg_f_log_f = -np.exp(lf) * lf
-    gap = abs(pitch * neg_f_log_f.sum() - 2.0 * pitch * neg_f_log_f[::2].sum())
-    i_vec, _ = _marginal_info_batch(y, lf, pitch, locs)
+    gap = abs(h * neg_f_log_f.sum() - 2.0 * h * neg_f_log_f[::2].sum())
+    i_vec = _marginal_info_batch(y, lf, h, locs)[0]
     info = float(ws @ i_vec)
     if not gap <= _PITCH_TOL:
         raise QuadratureNonConvergence(info, gap)
     r_support = float(np.max(np.abs(i_vec - info)))
 
-    grid = np.linspace(-A, A, _KKT_GRID_POINTS)
-    if _FFT_MAX_RATIO * step >= h:
-        i_grid = _convolved_info(lf, pitch, m, every, _KKT_GRID_POINTS)
-    else:
-        i_grid, _ = _marginal_info_batch(y, lf, pitch, grid)
-    j_best = int(np.argmax(i_grid))
-    best = float(i_grid[j_best])
-    x_best = float(grid[j_best])
+    n = max(1, math.ceil(2.0 * A / h - 1e-9))
+    xs = np.append(-A + h * np.arange(n), A)
+    i_x, d1_x, d2_x = np.hstack([_convolved_info(lf, h, n),
+                                 _marginal_info_batch(y, lf, h, [A], 2)])
+    j = int(np.argmax(i_x))
+    best, x_best = float(i_x[j]), float(xs[j])
 
-    # Refine around the discrete local maxima (endpoints included) that can
-    # still win.  (log f)'' = Var(X | Y) - 1 >= -1, so i'' <= 1, and within
-    # one step of a grid local maximum j, i stays below i_grid[j] + step^2/8;
-    # 1e-9 covers the trapezoid error that the pitch check allows.
-    padded = np.concatenate([[-np.inf], i_grid, [-np.inf]])
-    is_peak = (padded[1:-1] >= padded[:-2]) & (padded[1:-1] >= padded[2:])
-    peaks = np.nonzero(is_peak & (i_grid + (step * step / 8.0 + 1e-9) >= best))[0]
-    refine = np.concatenate(
-        [np.linspace(grid[j] - step, grid[j] + step, 21) for j in peaks]
-    )
-    refine = np.clip(refine, -A, A)
-    i_ref, _ = _marginal_info_batch(y, lf, pitch, refine)
-    j_ref = int(np.argmax(i_ref))
-    if float(i_ref[j_ref]) > best:
-        best = float(i_ref[j_ref])
-        x_best = float(refine[j_ref])
+    # Polish the sampled local maxima (the ends included) that can still win.
+    # A peak lies within h/2 of a sample, and rises above it by at most
+    # max(-i'') * h^2/8.  i'' = 1 - E[Var(X | Y)] <= 1 varies on the scale of
+    # phi, far above h, so its sampled minimum stands for its minimum; 1e-9
+    # covers the trapezoid error that the pitch check allows.
+    margin = max(1.0, -float(d2_x.min())) * h * h / 8.0 + 1e-9
+    padded = np.concatenate([[-np.inf], i_x, [-np.inf]])
+    peaks = np.nonzero((i_x >= padded[:-2]) & (i_x >= padded[2:]) & (i_x + margin >= best))[0]
+    x, d1, d2 = xs[peaks].tolist(), d1_x[peaks].tolist(), d2_x[peaks].tolist()
+    lo, hi = xs[np.clip(peaks + np.array([[-1], [1]]), 0, xs.size - 1)].tolist()
+    for _ in range(_NEWTON_CAP):
+        steps = []
+        for xk, g1, g2, a, b in zip(x, d1, d2, lo, hi):
+            # Keep the peak in [a, b] on the ascent side of xk.  Where i is
+            # concave, step by Newton unless that would raise i by less than
+            # _NEWTON_GAIN, and bisect when the step leaves the bracket;
+            # elsewhere go to the bracket's end uphill.
+            a, b = (xk, b) if g1 > 0.0 else (a, xk) if g1 < 0.0 else (xk, xk)
+            if g2 < 0.0 and g1 * g1 <= -2.0 * _NEWTON_GAIN * g2:
+                continue
+            xn = xk - g1 / g2 if g2 < 0.0 else b if g1 > 0.0 else a
+            if not a <= xn <= b:
+                xn = 0.5 * (a + b)
+            if xn != xk:
+                steps.append((xn, a, b))
+        if not steps:
+            break
+        x, lo, hi = zip(*steps)
+        i_new, d1, d2 = _marginal_info_batch(y, lf, h, x, 2).tolist()
+        top, x_top = max(zip(i_new, x))
+        if top > best:
+            best, x_best = top, x_top
 
     return r_support, max(0.0, best - info), x_best
 
@@ -367,10 +367,9 @@ def kkt_residual(pi: DiscreteInput) -> tuple[float, float]:
 
     r_support = max_j |i(x_j) - I| measures equalization on the support;
     r_global = max over [-A, A] of (i(x) - I)_+ measures global dominance,
-    evaluated on _KKT_GRID_POINTS equispaced points plus one refinement pass
-    around each local maximum of i.  ``pi`` is epsilon-optimal when both are
-    below epsilon.  Raises QuadratureNonConvergence when the trapezoid
-    pitch check fails (see ``_kkt_scan``).
+    maximized by Newton's method from the peaks of i at the trapezoid
+    samples.  ``pi`` is epsilon-optimal when both are below epsilon.  Raises
+    QuadratureNonConvergence when the pitch check fails (see ``_kkt_scan``).
     """
     r_support, r_global, _ = _kkt_scan(pi)
     return r_support, r_global

@@ -4,7 +4,7 @@ Nothing here is part of the library surface.  The capacity oracle is a
 classical Blahut-Arimoto iteration on a dense input grid with a quantized
 output, deliberately sharing no code with the gradient-based solver; the
 quadrature oracles are scipy's QUADPACK (``quad``) and ``quad_vec``, with
-log f by ``logsumexp``, independent of the library's trapezoid sums and of
+log f by ``logaddexp``, independent of the library's trapezoid sums and of
 its own Gauss-Kronrod implementation.
 """
 
@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad as scipy_quad
 from scipy.integrate import quad_vec
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.signal import find_peaks
 from scipy.special import erfc, logsumexp
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# The library's KKT scan grid: equispaced points over [-A, A].
+# Points of the oracles' equispaced grid over [-A, A], on which the KKT
+# oracles look for the peaks of i(x).
 KKT_GRID_POINTS = 2001
 
 
@@ -173,11 +174,16 @@ def mixture_pdf(locations, weights, y):
 
 
 def log_mixture_pdf(locations, weights, y):
-    """log sum_j w_j phi(y - x_j) by ``logsumexp``, stable far into the tails."""
+    """log sum_j w_j phi(y - x_j) by pairwise ``logaddexp``, stable far into the tails.
+
+    ``np.logaddexp.reduce`` is about ten times faster than scipy's
+    ``logsumexp`` on one point, and the adaptive oracles call this once per node.
+    """
     y = np.asarray(y, dtype=float)
     d = y[..., None] - np.asarray(locations, dtype=float)
-    return logsumexp(-0.5 * d * d, b=np.asarray(weights, dtype=float), axis=-1) \
-        - 0.5 * math.log(2.0 * math.pi)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.asarray(weights, dtype=float))
+    return np.logaddexp.reduce(log_w - 0.5 * d * d, axis=-1) - 0.5 * math.log(2.0 * math.pi)
 
 
 def quadpack_tv(A: float, locations, weights, pitch: float = 1e-3) -> float:
@@ -289,44 +295,64 @@ def random_param(rng, has_center: bool):
     return _Param(A, has_center, x, rng.dirichlet(np.full(c.size, 2.0)) / c)
 
 
+def _grid_sup(info_at, A):
+    """(sup of i over [-A, A], its argmax, the grid argmax) for a vectorized ``info_at``.
+
+    i on the KKT_GRID_POINTS-point grid, then Brent's bounded maximization
+    (``minimize_scalar(method="bounded")``) over the two grid steps around
+    every discrete local maximum of i, the ends included.  Brent runs on the
+    offset from the grid point, so that its tolerance, relative to the
+    variable, stays far below the pitch.  It stops within about 1e-7 of an
+    interior peak, where i is within |i''| * 1e-14 of the peak's value; a
+    peak at an end of [-A, A] is a grid point.
+    """
+    grid = np.linspace(-A, A, KKT_GRID_POINTS)
+    i_grid = info_at(grid)
+    step = grid[1] - grid[0]
+    padded = np.concatenate([[-np.inf], i_grid, [-np.inf]])
+    peaks = np.nonzero((i_grid >= padded[:-2]) & (i_grid >= padded[2:]))[0]
+    j_grid = int(np.argmax(i_grid))
+    best, x_best = float(i_grid[j_grid]), float(grid[j_grid])
+    for j in peaks:
+        x0 = grid[j]
+        res = minimize_scalar(lambda t: -info_at(np.array([x0 + t]))[0],
+                              bounds=(max(-A, x0 - step) - x0, min(A, x0 + step) - x0),
+                              method="bounded", options={"xatol": 1e-7})
+        if -res.fun > best:
+            best, x_best = float(-res.fun), float(x0 + res.x)
+    return best, x_best, float(grid[j_grid])
+
+
 def quad_vec_kkt_residual(pi):
     """(r_support, r_global) of ``pi`` with every integral by ``scipy.integrate.quad_vec``.
 
-    The library's KKT scan with its trapezoid sums replaced by one adaptive
-    ``quad_vec`` integral over [-A-12, A+12] per set of points (tolerances
-    1e-13 absolute and 1e-12 relative in the max norm), log f by
-    ``logsumexp``: the same 2001-point grid and the same 21-point windows
-    around every discrete local maximum of i(x).
+    i(x) is one adaptive ``quad_vec`` integral over [min x - 12, max x + 12]
+    per set of points x (tolerances 1e-13 absolute and 1e-12 relative in the
+    max norm), with log f by ``log_mixture_pdf``; r_global takes the
+    supremum of i by ``_grid_sup``.
     """
     locs, ws = pi.as_arrays()
     half_log_2pi_e = 0.5 * (math.log(2.0 * math.pi) + 1.0)
-    lo, hi = -pi.A - 12.0, pi.A + 12.0
 
     def info_at(xs):
-        vals, _ = quad_vec(lambda y: phi(y - xs) * log_mixture_pdf(locs, ws, y), lo, hi,
+        vals, _ = quad_vec(lambda y: phi(y - xs) * log_mixture_pdf(locs, ws, y),
+                           xs.min() - 12.0, xs.max() + 12.0,
                            epsabs=1e-13, epsrel=1e-12, norm="max")
         return -half_log_2pi_e - vals
 
     i_vec = info_at(locs)
     info = float(ws @ i_vec)
-    grid = np.linspace(-pi.A, pi.A, KKT_GRID_POINTS)
-    i_grid = info_at(grid)
-    padded = np.concatenate([[-np.inf], i_grid, [-np.inf]])
-    peaks = np.nonzero((i_grid >= padded[:-2]) & (i_grid >= padded[2:]))[0]
-    step = grid[1] - grid[0]
-    refine = np.clip(np.concatenate(
-        [np.linspace(grid[j] - step, grid[j] + step, 21) for j in peaks]), -pi.A, pi.A)
-    best = max(float(i_grid.max()), float(info_at(refine).max()))
+    best = _grid_sup(info_at, pi.A)[0]
     return float(np.max(np.abs(i_vec - info))), max(0.0, best - info)
 
 
 def every_window_kkt_scan(pi):
-    """(r_support, r_global, x of the best value, x of the grid maximum) of ``pi``.
+    """(r_support, r_global, x of the supremum, x of the grid maximum) of ``pi``.
 
-    The library's KKT scan with nothing pruned and no FFT: log f sampled once
-    at the pitch ``_pitch(locs)``, i(x) by direct sums over those samples on
-    the same grid, then the same 21-point window around *every* discrete
-    local maximum of i.
+    The library's sums with nothing pruned and no FFT: log f sampled once at
+    the pitch ``_pitch(locs)``, i(x) by direct sums over those samples, and
+    its supremum by ``_grid_sup``, which maximizes around *every* discrete
+    local maximum of i on its grid.
     """
     from acawgn.inputs import _marginal_info_batch, _pitch, _samples
 
@@ -339,15 +365,5 @@ def every_window_kkt_scan(pi):
 
     i_vec = info_at(locs)
     info = float(ws @ i_vec)
-    grid = np.linspace(-pi.A, pi.A, KKT_GRID_POINTS)
-    i_grid = info_at(grid)
-    padded = np.concatenate([[-np.inf], i_grid, [-np.inf]])
-    peaks = np.nonzero((i_grid >= padded[:-2]) & (i_grid >= padded[2:]))[0]
-    step = grid[1] - grid[0]
-    refine = np.clip(np.concatenate(
-        [np.linspace(grid[j] - step, grid[j] + step, 21) for j in peaks]), -pi.A, pi.A)
-    xs = np.concatenate([grid, refine])
-    vals = np.concatenate([i_grid, info_at(refine)])
-    j = int(np.argmax(vals))
-    return (float(np.max(np.abs(i_vec - info))), max(0.0, float(vals[j]) - info),
-            float(xs[j]), float(grid[np.argmax(i_grid)]))
+    best, x_best, x_grid = _grid_sup(info_at, pi.A)
+    return float(np.max(np.abs(i_vec - info))), max(0.0, best - info), x_best, x_grid

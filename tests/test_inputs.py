@@ -62,6 +62,11 @@ class TestDiscreteInput:
         assert pi.locations[0] == pytest.approx(-1.0)
         assert pi.locations[1] == pytest.approx(0.5, abs=1e-7)
         assert sum(pi.weights) == pytest.approx(1.0, abs=1e-15)
+        # Atoms beyond A more than merge_tol apart clip to the same end point,
+        # so they merge.
+        pi = DiscreteInput.normalized(1.0, [0.0, 1.0 + 1e-9, 1.0 + 2e-6], [0.2, 0.4, 0.4])
+        assert pi.locations == (0.0, 1.0)
+        assert pi.weights == pytest.approx((0.2, 0.8), abs=1e-15)
 
     def test_json_round_trip(self):
         pi = DiscreteInput(A=1.5, locations=(-1.5, 0.25, 1.5), weights=(0.4, 0.2, 0.4))
@@ -208,9 +213,37 @@ def _route_input(A, K, seed):
     return DiscreteInput.normalized(A, np.sort(rng.uniform(-A, A, K)), rng.dirichlet(np.ones(K)))
 
 
-# Random inputs whose trapezoid pitch spans 200, 6.8 and 1.2 steps of the
-# 2001-point x-grid: interpolation factors m = 200, 6 and 1.
+# Random inputs from A = 1.25 with K = 2 to A = 40 with K = 30.
 ROUTE_INPUTS = [_route_input(1.25, 2, 3), _route_input(12.0, 9, 16), _route_input(40.0, 30, 40)]
+
+# An input of the certify benchmark's batches (seed 501, batch 2, position
+# 39) whose supremum of i lies inside a gap of 12 between atoms: a scan on a
+# 2001-point grid with 21-point refinement windows reported r_global 3.3e-6
+# below it.
+GAP_PEAK_INPUT = DiscreteInput.from_json(
+    '{"A": 33.2659809505832, "points": [-32.224469600824875, -26.371316386527425, '
+    '-18.59694800069181, -18.070809601242264, -8.820796164100415, -3.6239039712982546, '
+    '-2.135660377050243, -1.8254743726298415, 5.9162756730411346, 18.087150140151422, '
+    '18.968599128777022, 21.087121933563772, 24.087878254543284, 26.297934753763663, '
+    '31.457162844645012, 31.938089094839754], "weights": [0.010226114206414184, '
+    '0.024043067411734714, 0.05849463748308909, 0.3237636557329698, 0.05381914457280418, '
+    '0.010947114603264224, 0.08842563252967374, 0.04872675958929704, 0.14390986901519193, '
+    '0.008655052288693142, 0.04101790501549601, 0.025842883203115206, 0.004381379438107715, '
+    '0.024356831277170816, 0.08770379863526846, 0.045686154997709845]}')
+
+
+# Two peaks of i, one in each gap of 20, 1e-5 apart in height.  The higher
+# one lies 0.42 pitches from its nearest sample, and its i'' = -6.9 puts it
+# 3.9e-4 above that sample: farther than h^2/8 = 7.8e-5, the margin that
+# i'' <= 1 alone would give.
+CURVED_PEAK_INPUT = DiscreteInput(A=20.0, locations=(-20.0, 0.02, 20.0),
+                                  weights=(0.3, 0.49211667582467816, 0.2078833241753218))
+
+
+@pytest.fixture(scope="module")
+def solved_inputs():
+    """Default solves at A = 2, 8, 20 and 40."""
+    return [solve_capacity(A).input for A in (2.0, 8.0, 20.0, 40.0)]
 
 
 def _quadpack_info_stats(pi):
@@ -252,23 +285,20 @@ class TestTrapezoidRule:
             want = quad_vec_kkt_residual(report.input)
             assert got == pytest.approx(want, abs=1e-10), report.A
 
-    def test_fft_and_direct_routes_agree(self, monkeypatch):
+    def test_fft_matches_direct_sums_at_the_samples(self):
         for pi in WIDE_GAP_INPUTS + ROUTE_INPUTS:
-            scans = []
-            for ratio in (1e9, 0):   # FFT at any pitch ratio, then direct sums only
-                monkeypatch.setattr(inputs, "_FFT_MAX_RATIO", ratio)
-                scans.append(inputs._kkt_scan(pi))
-            fft, direct = scans
-            assert fft[1] > 1e-3
-            assert fft[:2] == pytest.approx(direct[:2], rel=1e-15, abs=1e-12), (pi.A, pi.k)
-            assert fft[2] == direct[2]
-            # The residuals depend on the interpolated i(x) only through its
-            # ordering, so compare the values too: to 1e-12, or to 1e-14 of the
-            # largest value where |i| reaches 1e3 (wide gaps at A = 60).
-            i_fft, y, lf, pitch = _interpolated_i(pi, 2001)
-            i_direct, _ = inputs._marginal_info_batch(y, lf, pitch, np.linspace(-pi.A, pi.A, 2001))
-            scale = max(100.0, np.abs(i_direct).max())
-            assert np.max(np.abs(i_fft - i_direct)) <= 1e-14 * scale, (pi.A, pi.k)
+            locs, ws = pi.as_arrays()
+            h = inputs._pitch(locs)
+            y, lf = inputs._samples(pi.A, locs, ws, h)
+            n = math.floor(2.0 * pi.A / h) + 1
+            fft = inputs._convolved_info(lf, h, n)
+            # Direct sums at up to 2001 of the samples, the ends included.
+            g = np.unique(np.linspace(0, n - 1, 2001).astype(int))
+            direct = inputs._marginal_info_batch(y, lf, h, -pi.A + h * g, 2)
+            # i, i' and i'' to 1e-12, or to 1e-14 of the largest value where
+            # |i| reaches 1e3 (wide gaps at A = 60).
+            scale = max(100.0, np.abs(direct[0]).max())
+            assert np.max(np.abs(fft[:, g] - direct)) <= 1e-14 * scale, (pi.A, pi.k)
 
     def test_row_by_row_sums_match_the_matrix_product(self, monkeypatch):
         pi = WIDE_GAP_INPUTS[3]
@@ -277,9 +307,9 @@ class TestTrapezoidRule:
         y, lf = inputs._samples(pi.A, locs, ws, pitch)
         xs = np.linspace(-pi.A, pi.A, 37)
         assert inputs._CHUNK // y.size > 1
-        rows = inputs._marginal_info_batch(y, lf, pitch, xs, moment=True)
+        rows = inputs._marginal_info_batch(y, lf, pitch, xs, 2)
         monkeypatch.setattr(inputs, "_CHUNK", 8)   # below one row: one row at a time
-        one_by_one = inputs._marginal_info_batch(y, lf, pitch, xs, moment=True)
+        one_by_one = inputs._marginal_info_batch(y, lf, pitch, xs, 2)
         for got, want in zip(one_by_one, rows):
             assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -291,30 +321,24 @@ class TestTrapezoidRule:
             inputs._kkt_scan(pi)
 
 
-def _interpolated_i(pi, n):
-    """i(x) on n equispaced points of [-A, A] as the KKT scan interpolates it, with its samples."""
-    locs, ws = pi.as_arrays()
-    h = inputs._pitch(locs)
-    step = 2.0 * pi.A / (n - 1)
-    every = math.ceil(step / h)
-    m = max(1, int(h * every / step))
-    pitch = step / every * m
-    y, lf = inputs._samples(pi.A, locs, ws, pitch)
-    return inputs._convolved_info(lf, pitch, m, every, n), y, lf, pitch
-
-
 class TestKktRefinement:
-    """Only refinement windows that cannot hold the maximum are skipped."""
+    """Only sampled peaks that cannot hold the supremum are skipped."""
 
-    def test_second_derivative_of_i_is_at_most_one(self):
+    def test_second_derivative_of_i_is_at_most_one(self, solved_inputs):
         # (log f)'' = Var(X | Y) - 1 >= -1, so i'' <= 1: the premise of pruning.
-        solved = [solve_capacity(A).input for A in (2.0, 8.0, 20.0)]
         rng = np.random.default_rng(19)
         randoms = [random_input(rng, k_max=8, a_lo=1.0, a_hi=30.0) for _ in range(12)]
-        for pi in WIDE_GAP_INPUTS + solved + randoms:
-            step = 2.0 * pi.A / 4000
-            second = np.diff(_interpolated_i(pi, 4001)[0], 2) / (step * step)
-            assert second.max() <= 1.0 + 1e-6, (pi.A, pi.k)
+        for pi in WIDE_GAP_INPUTS + solved_inputs[:3] + randoms:
+            locs, ws = pi.as_arrays()
+            h = inputs._pitch(locs)
+            y, lf = inputs._samples(pi.A, locs, ws, h)
+            xs = np.linspace(-pi.A, pi.A, 2001)
+            _, d1, d2 = inputs._marginal_info_batch(y, lf, h, xs, 2)
+            assert d2.max() <= 1.0 + 1e-6, (pi.A, pi.k)
+            # The i'' row is the derivative of the i' row.
+            step = xs[1] - xs[0]
+            scale = max(1.0, np.abs(d2).max())
+            assert np.max(np.abs(np.diff(d1) / step - 0.5 * (d2[1:] + d2[:-1]))) <= 1e-3 * scale
 
     @staticmethod
     def _near_tie():
@@ -331,6 +355,40 @@ class TestKktRefinement:
             r_support, r_global, x_best, x_grid = every_window_kkt_scan(pi)
             got = inputs._kkt_scan(pi)
             assert got[:2] == pytest.approx((r_support, r_global), abs=1e-12), (pi.A, pi.k)
-            assert got[2] == pytest.approx(x_best, abs=1e-12)
-        # The near tie's best value lies outside the window of its grid maximum.
+            # Both report the same peak.  Its location is fixed by values of i
+            # only to about sqrt(1e-16): i is flat to second order there.
+            assert got[2] == pytest.approx(x_best, abs=1e-6)
+        # The near tie's supremum lies outside the steps around its grid maximum.
         assert x_best > 3.0 and x_grid < -3.0
+
+    def test_supremum_matches_every_window(self, solved_inputs):
+        for pi in WIDE_GAP_INPUTS + solved_inputs + [CURVED_PEAK_INPUT, GAP_PEAK_INPUT]:
+            r_support, r_global, _, _ = every_window_kkt_scan(pi)
+            got = inputs._kkt_scan(pi)
+            assert got[1] == pytest.approx(r_global, rel=1e-12, abs=1e-12), (pi.A, pi.k)
+            assert got[0] == pytest.approx(r_support, abs=1e-12), (pi.A, pi.k)
+
+    def test_direct_sums_stay_within_the_newton_budget(self, monkeypatch, solved_inputs):
+        # Direct sums run only at the K atoms, at A, and at most _NEWTON_CAP
+        # times at each polished peak, never on a dense grid.
+        sums = inputs._marginal_info_batch
+        calls = []
+
+        def counted(y, lf, pitch, xs, derivatives=0):
+            calls.append((len(xs), derivatives))
+            return sums(y, lf, pitch, xs, derivatives)
+
+        monkeypatch.setattr(inputs, "_marginal_info_batch", counted)
+        for pi in WIDE_GAP_INPUTS + ROUTE_INPUTS + solved_inputs + [GAP_PEAK_INPUT]:
+            calls.clear()
+            inputs._kkt_scan(pi)
+            assert calls[:2] == [(pi.k, 0), (1, 2)], (pi.A, pi.k)
+            polish = calls[2:]
+            assert len(polish) <= inputs._NEWTON_CAP
+            assert all(derivatives == 2 for _, derivatives in polish)
+            # The first Newton step runs at every polished peak, later ones
+            # only at the peaks that have not converged.
+            peaks = polish[0][0] if polish else 1
+            assert all(n <= peaks for n, _ in polish)
+            budget = pi.k + (inputs._NEWTON_CAP + 1) * peaks
+            assert sum(n for n, _ in calls) <= budget, (pi.A, pi.k)
