@@ -28,7 +28,7 @@ differences between the sign changes of p - q, and runs no quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -170,25 +170,27 @@ class CertificateReport:
     ``measured_tv`` (when present) must dominate the max-norm bound: that
     inequality is rigorous, so a violation beyond 1e-8 is an error.  The two
     Frobenius-gap flags record which candidate constant the instance
-    supports (the sqrt(K+1) floor is the provable one).
+    supports (the sqrt(K+1) floor is the provable one).  Field names and
+    order are the keys of ``to_dict``.
     """
 
     A: float
     K: int
-    closed_form: float
-    closed_form_log: float
+    closed_form_bound: float
+    closed_form_bound_log: float
     maxnorm_bound: float
     maxnorm_bound_log: float
     maxnorm_argmax_k: int
     frobenius_gap: float
-    rank_route: float
+    rank_route_bound: float
     numerical_rank: int
-    gap_ge_k_plus_1: bool
-    gap_ge_sqrt_k_plus_1: bool
+    frobenius_gap_ge_k_plus_1: bool
+    frobenius_gap_ge_sqrt_k_plus_1: bool
     measured_tv: float | None = None
 
     def __post_init__(self):
-        for name in ("closed_form", "maxnorm_bound", "frobenius_gap", "rank_route"):
+        for name in ("closed_form_bound", "maxnorm_bound", "frobenius_gap",
+                     "rank_route_bound"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
         if self.measured_tv is not None and self.measured_tv < self.maxnorm_bound - 1e-8:
@@ -198,21 +200,7 @@ class CertificateReport:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "A": self.A,
-            "K": self.K,
-            "closed_form_bound": self.closed_form,
-            "closed_form_bound_log": self.closed_form_log,
-            "maxnorm_bound": self.maxnorm_bound,
-            "maxnorm_bound_log": self.maxnorm_bound_log,
-            "maxnorm_argmax_k": self.maxnorm_argmax_k,
-            "frobenius_gap": self.frobenius_gap,
-            "rank_route_bound": self.rank_route,
-            "numerical_rank": self.numerical_rank,
-            "frobenius_gap_ge_k_plus_1": self.gap_ge_k_plus_1,
-            "frobenius_gap_ge_sqrt_k_plus_1": self.gap_ge_sqrt_k_plus_1,
-            "measured_tv": self.measured_tv,
-        }
+        return asdict(self)
 
 
 def certificate_report(pi: DiscreteInput, measure_tv: bool = False) -> CertificateReport:
@@ -235,15 +223,15 @@ def certificate_report(pi: DiscreteInput, measure_tv: bool = False) -> Certifica
     return CertificateReport(
         A=A,
         K=K,
-        closed_form=closed_form_bound(K, A),
-        closed_form_log=closed_form_bound_log(K, A),
+        closed_form_bound=closed_form_bound(K, A),
+        closed_form_bound_log=closed_form_bound_log(K, A),
         maxnorm_bound=maxnorm,
         maxnorm_bound_log=log_mb,
         maxnorm_argmax_k=argmax_k,
         frobenius_gap=gap,
-        rank_route=implied,
+        rank_route_bound=implied,
         numerical_rank=rank,
-        gap_ge_k_plus_1=gap >= K + 1,
-        gap_ge_sqrt_k_plus_1=gap >= math.sqrt(K + 1),
+        frobenius_gap_ge_k_plus_1=gap >= K + 1,
+        frobenius_gap_ge_sqrt_k_plus_1=gap >= math.sqrt(K + 1),
         measured_tv=measured,
     )

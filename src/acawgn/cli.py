@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -93,16 +94,27 @@ def parse_grid(spec: str) -> list[float]:
 
 
 def _emit(text: str, out_path: str | None):
-    """Write data atomically to out_path, or to stdout when absent."""
+    """Write data atomically to out_path, or to stdout when absent.
+
+    As with a plain write, a replaced file keeps its mode and a new one gets
+    0o666 less the umask, not mkstemp's 0o600.
+    """
     if out_path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(out_path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acawgn-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
+            os.chmod(tmp, mode)
             os.replace(tmp, out_path)
         except BaseException:
             os.unlink(tmp)

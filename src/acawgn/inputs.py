@@ -297,10 +297,11 @@ def _convolved_info(lf: np.ndarray, pitch: float, n: int) -> np.ndarray:
     return rows
 
 
-def _kkt_scan(pi: DiscreteInput) -> tuple[float, float, float]:
-    """(r_support, r_global, argmax x of the global violation).
+def _kkt_scan(pi: DiscreteInput) -> tuple[float, float, float, float]:
+    """(r_support, r_global, argmax x of the global violation, I).
 
-    log f is sampled at the pitch h of ``_info_stats``, so I is the solve's.
+    log f is sampled at the pitch h of ``_info_stats``, so I equals
+    ``mutual_information(pi)`` bit for bit; a solve reports it as the level's I.
     i, i' and i'' come from ``_convolved_info`` at the samples below A and
     from direct sums at A and at the bracketed Newton iterates from every
     sampled peak that can still hold the supremum.  Raises
@@ -359,7 +360,7 @@ def _kkt_scan(pi: DiscreteInput) -> tuple[float, float, float]:
         if top > best:
             best, x_best = top, x_top
 
-    return r_support, max(0.0, best - info), x_best
+    return r_support, max(0.0, best - info), x_best, info
 
 
 def kkt_residual(pi: DiscreteInput) -> tuple[float, float]:
@@ -371,5 +372,4 @@ def kkt_residual(pi: DiscreteInput) -> tuple[float, float]:
     samples.  ``pi`` is epsilon-optimal when both are below epsilon.  Raises
     QuadratureNonConvergence when the pitch check fails (see ``_kkt_scan``).
     """
-    r_support, r_global, _ = _kkt_scan(pi)
-    return r_support, r_global
+    return _kkt_scan(pi)[:2]

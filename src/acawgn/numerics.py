@@ -87,10 +87,12 @@ DEFAULT_QUAD = QuadratureSpec()
 
 
 class QuadratureNonConvergence(RuntimeError):
-    """Raised when the error target is unreachable within max_depth.
+    """Raised when an integral cannot be trusted to its error target.
 
-    Carries the best available estimate(s) and the corresponding error
-    bound(s) so callers can degrade gracefully.
+    On the solve, scan and certify paths only the KKT scan's pitch check
+    raises it (``inputs._kkt_scan``): ``estimate`` is I at the trapezoid
+    pitch h and ``error_bound`` is |I(h) - I(2h)|.  ``adaptive_quad_family``
+    raises it with per-integrand arrays when its panels reach max_depth.
     """
 
     def __init__(self, estimate, error_bound):

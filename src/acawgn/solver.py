@@ -15,11 +15,13 @@ size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
   equalization/dominance residuals of the KKT scan pass the declared
   epsilon.  Each level is one ``solve_fixed_k`` call warm-started from the
   previous level's input, with a zero-weight pair inserted where the scan
-  found the largest violation of i(x) <= I (a cutting-plane step);
+  found the largest violation of i(x) <= I (a cutting-plane step), and one
+  KKT scan of its result, which also gives the level's I;
 - continuation in A (``solve_capacity(..., start=...)``): the first level
   may instead be warm-started from an input solved at another amplitude,
   its atoms scaled to the new one, at a K no smaller than that input's
-  support.  Scans pass each certified row on to the next.
+  support.  A first level with more pairs than that input has starts cold.
+  Scans pass each certified row on to the next.
 
 The objective, its gradient, condensing, C and both KKT residuals all come
 from the trapezoid rule of ``acawgn.inputs``; no adaptive quadrature runs in
@@ -200,35 +202,23 @@ def _initial_param(A: float, K: int) -> _Param:
 
 
 def _param_from_input(pi: DiscreteInput, K: int, prefer: float | None = None) -> _Param | None:
-    """Embed a solved symmetric input as a warm start for a (possibly larger) K.
+    """Embed a solved symmetric input as a warm start at K; None if it does not fill K.
 
-    Missing slots are filled with zero weight, which leaves the achieved
-    information unchanged: first at +-``prefer`` (typically where the
-    previous level's optimality check found i(x) > I, so the optimizer
-    immediately has an ascent direction there), then at the midpoints of
-    the largest location gaps.  None if ``pi`` does not fit.
+    At even K a centre mass becomes a coincident pair at 0.  Room for one
+    more pair takes a zero-weight pair at +-``prefer``, where the previous
+    level's KKT scan found i(x) > I, so SLSQP starts with an ascent direction.
     """
     locs, ws = pi.as_arrays()
-
-    def next_slot(existing):
-        if prefer is not None:
-            c = abs(prefer)
-            if existing.size == 0 or np.min(np.abs(existing - c)) > 1e-3:
-                return c
-        edges = np.sort(np.concatenate([[0.0], existing, [pi.A]]))
-        j = int(np.argmax(np.diff(edges)))
-        return 0.5 * (edges[j] + edges[j + 1])
-
     has_center = K % 2 == 1
     x, vp = locs[locs > 1e-12], ws[locs > 1e-12]
     w0 = float(ws[np.abs(locs) <= 1e-12].sum())
     if w0 > 0.0 and not has_center:
         # Fold the center mass into a coincident pair at 0.
         x, vp = np.append(x, 0.0), np.append(vp, 0.5 * w0)
-    if x.size > K // 2:
+    if prefer is not None and x.size < K // 2:
+        x, vp = np.append(x, abs(prefer)), np.append(vp, 0.0)
+    if x.size != K // 2:
         return None
-    while x.size < K // 2:
-        x, vp = np.append(x, next_slot(x)), np.append(vp, 0.0)
     order = np.argsort(x)
     v = np.concatenate([[w0], vp[order]]) if has_center else vp[order]
     return _Param(pi.A, has_center, x[order], v)
@@ -301,15 +291,15 @@ def solve_fixed_k(
     K: int,
     init: DiscreteInput | None = None,
     violation: float | None = None,
-) -> tuple[DiscreteInput, float, bool, int, str]:
-    """Locally optimal symmetric input with at most K surviving atoms, and its I.
+) -> tuple[DiscreteInput, bool, int, str]:
+    """Locally optimal symmetric input with at most K surviving atoms.
 
-    One SLSQP run (see ``_pg_maximize``) from ``init`` padded with
-    zero-weight pairs, first at +-``violation`` (see ``_param_from_input``),
-    or else from equispaced atoms.  Weights below 1e-9 are pruned and
-    coincident atoms merged before the final evaluation.
-    Returns (input, info_nats, converged, iterations, status), the last
-    three being SLSQP's success flag, iteration count and stop message.
+    One SLSQP run (see ``_pg_maximize``) from ``init`` with a zero-weight
+    pair at +-``violation`` (see ``_param_from_input``), or else from
+    equispaced atoms.  Weights below 1e-9 are pruned and coincident atoms
+    merged.  Returns (input, converged, iterations, status), the last three
+    being SLSQP's success flag, iteration count and stop message; the
+    input's I comes from the caller's ``_kkt_scan``.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -325,13 +315,11 @@ def solve_fixed_k(
     param, _, converged, iters = _pg_maximize(param, status)
     locs, ws = param.expand()
     pi = DiscreteInput.normalized(A, locs, ws)
-    info = mutual_information(pi)
     condensed = DiscreteInput.normalized(A, locs, ws, merge_tol=_CONDENSE_TOL)
     if condensed.k < pi.k:
-        info_c = mutual_information(condensed)
-        if info_c >= info - _CONDENSE_INFO_TOL:
-            return condensed, info_c, converged, iters, status[0]
-    return pi, info, converged, iters, status[0]
+        if mutual_information(condensed) >= mutual_information(pi) - _CONDENSE_INFO_TOL:
+            pi = condensed
+    return pi, converged, iters, status[0]
 
 
 def solve_capacity(
@@ -346,12 +334,14 @@ def solve_capacity(
     (``SolveConfig.max_k_for``) until both KKT residuals pass
     ``config.kkt_eps``.  K0 is the odd ceiling of ``dytso_lower_bound(A)``.
     Without ``start`` the first level starts from equispaced atoms.  With
-    ``start``, an input solved at another amplitude (continuation in A), the
-    first level starts from its atoms scaled by ``A / start.A`` and K0 is
-    raised to at least ``start.k``.  Each later level is warm-started from
-    the previous level's input plus a zero-weight pair at +-x, where x is
-    the previous level's worst violation of i(x) <= I.  Reaching the cap
-    without certification returns the best level flagged unconverged.
+    ``start``, an input solved at another amplitude (continuation in A), K0
+    is raised to at least ``start.k`` and the first level starts from
+    ``start``'s atoms scaled by ``A / start.A`` when they fill it, and from
+    equispaced atoms otherwise.  Each later level is warm-started from the
+    previous level's input plus a zero-weight pair at +-x, where x is the
+    previous level's worst violation of i(x) <= I.  A level's I and
+    residuals come from one ``_kkt_scan``.  Reaching the cap without
+    certification returns the best level flagged unconverged.
     """
     if not (A > 0.0 and math.isfinite(A)):
         raise ValueError(f"amplitude must be positive and finite, got {A}")
@@ -377,8 +367,8 @@ def solve_capacity(
     k0 = min(k0, max_k)
 
     for K in range(k0, max_k + 1, 2):
-        pi, info, _, iters, status = solve_fixed_k(A, K, init=pi, violation=violation)
-        r_s, r_g, x_viol = _kkt_scan(pi)
+        pi, _, iters, status = solve_fixed_k(A, K, init=pi, violation=violation)
+        r_s, r_g, x_viol, info = _kkt_scan(pi)
         passed = r_s <= cfg.kkt_eps and r_g <= cfg.kkt_eps
         history.append(
             EscalationStep(

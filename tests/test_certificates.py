@@ -246,7 +246,7 @@ class TestCertificateReport:
         assert rep.numerical_rank <= 3
         assert rep.measured_tv is not None
         assert rep.measured_tv >= rep.maxnorm_bound - 1e-8
-        assert rep.gap_ge_sqrt_k_plus_1
+        assert rep.frobenius_gap_ge_sqrt_k_plus_1
         assert math.exp(rep.maxnorm_bound_log) == pytest.approx(rep.maxnorm_bound, rel=1e-12)
         d = rep.to_dict()
         assert d["K"] == 3
@@ -273,7 +273,7 @@ class TestCertificateReport:
             rep = certificate_report(pi)
             gap, implied = rank_route_bound(pi)
             T = moment_matrix(pi, 2 * pi.k, base_frequency(pi.A))
-            assert (rep.frobenius_gap, rep.rank_route) == (gap, implied)
+            assert (rep.frobenius_gap, rep.rank_route_bound) == (gap, implied)
             assert rep.numerical_rank == numerical_rank(T)
 
     def test_no_tv_by_default(self):

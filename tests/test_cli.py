@@ -260,3 +260,23 @@ class TestQuadTolEnv:
         assert json.loads(out.read_text())["A"] == 2.0
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
+
+    def test_new_out_file_gets_the_plain_write_mode(self, tmp_path):
+        # 0o666 less the umask, as open() gives, not mkstemp's 0o600
+        umask = os.umask(0o022)
+        try:
+            out = tmp_path / "b.json"
+            assert main(["bounds", "--amplitude", "5", "--out", str(out)]) == 0
+            plain = tmp_path / "plain.json"
+            plain.write_text("{}")
+        finally:
+            os.umask(umask)
+        assert oct(out.stat().st_mode & 0o777) == oct(plain.stat().st_mode & 0o777) == "0o644"
+
+    def test_replaced_out_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "b.json"
+        out.write_text("old")
+        out.chmod(0o640)
+        assert main(["bounds", "--amplitude", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["A"] == 5.0
+        assert oct(out.stat().st_mode & 0o777) == "0o640"

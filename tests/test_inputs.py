@@ -278,6 +278,14 @@ class TestTrapezoidRule:
         assert np.max(np.abs(i_vec - ref_i)) <= 1e-11
         assert np.max(np.abs(d_loc - ref_d)) <= 1e-11
 
+    def test_kkt_scan_gives_the_residuals_and_i(self, solved_inputs):
+        # a solve reports each level's I from its KKT scan: it must be
+        # mutual_information's bit for bit, and the residuals kkt_residual's
+        for pi in WIDE_GAP_INPUTS + solved_inputs[1:3]:
+            scan = inputs._kkt_scan(pi)
+            assert scan[:2] == kkt_residual(pi), (pi.A, pi.k)
+            assert scan[3] == mutual_information(pi), (pi.A, pi.k)
+
     def test_kkt_residual_matches_adaptive_reference(self, scan_results):
         _, reports = scan_results
         for report in reports:

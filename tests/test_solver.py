@@ -9,6 +9,7 @@ from acawgn import (
     DiscreteInput,
     SolveConfig,
     dytso_lower_bound,
+    mutual_information,
     solve_capacity,
     solve_fixed_k,
 )
@@ -88,28 +89,28 @@ class TestInfoGradient:
 
 class TestSolveFixedK:
     def test_binary_small_amplitude(self):
-        pi, info, converged, *_ = solve_fixed_k(0.8, 2)
+        pi, converged, *_ = solve_fixed_k(0.8, 2)
         assert converged
         assert pi.locations == pytest.approx((-0.8, 0.8), abs=1e-6)
         assert pi.weights == pytest.approx((0.5, 0.5), abs=1e-7)
 
     def test_k3_collapses_to_binary(self):
-        pi2, info2, *_ = solve_fixed_k(0.8, 2)
-        pi3, info3, *_ = solve_fixed_k(0.8, 3)
-        assert pi3.k == 2 or abs(info3 - info2) <= 1e-7
+        pi2, *_ = solve_fixed_k(0.8, 2)
+        pi3, *_ = solve_fixed_k(0.8, 3)
+        assert pi3.k == 2 or abs(mutual_information(pi3) - mutual_information(pi2)) <= 1e-7
 
     def test_single_point_carries_nothing(self):
         for A in (0.5, 3.0):
-            pi, info, converged, *_ = solve_fixed_k(A, 1)
+            pi, *_ = solve_fixed_k(A, 1)
             assert pi.k == 1
-            assert abs(info) <= 1e-8
+            assert abs(mutual_information(pi)) <= 1e-8
 
     def test_slsqp_reaches_recorded_a8_optimum(self):
         # the equispaced K = 9 start at A = 8; the value is the certified C(8)
-        pi, info, converged, *_ = solve_fixed_k(8.0, 9)
+        pi, converged, *_ = solve_fixed_k(8.0, 9)
         assert converged
         assert pi.k == 9
-        assert abs(info - 1.5758716926530236) <= 1e-9
+        assert abs(mutual_information(pi) - 1.5758716926530236) <= 1e-9
 
     def test_optimizer_output_is_feasible(self):
         # the raw SLSQP step, before solve_fixed_k renormalizes its weights
@@ -140,12 +141,12 @@ class TestSolveFixedK:
         binary = DiscreteInput(A=A, locations=(-A, A), weights=(0.5, 0.5))
         # the equispaced start, and a warm start padded with a zero-weight pair
         for K, init in ((4, None), (5, binary)):
-            pi, info, *_ = solve_fixed_k(A, K, init=init, violation=1.0)
+            pi, *_ = solve_fixed_k(A, K, init=init, violation=1.0)
             locs, ws = pi.as_arrays()
             assert np.all(np.abs(locs) <= A)
             assert np.all(ws >= 0.0)
             assert ws.sum() == pytest.approx(1.0, abs=1e-12)
-            assert info > 0.0
+            assert mutual_information(pi) > 0.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -225,17 +226,42 @@ class TestSolveCapacity:
         assert [h.k_tried for h in rep.history] == [3]
 
     def test_start_smaller_than_first_level(self):
-        # the A = 1 input has 2 atoms; scaled to A = 10 it fills the first
-        # level (K = 5) with one zero-weight pair at the middle of its widest
-        # gap, and the later levels are those of a cold solve
+        # the A = 1 input is one pair; scaled to A = 10 it leaves the first
+        # level (K = 5, a centre and two pairs) a pair short with no KKT
+        # violation to place it at, so that level starts cold and the whole
+        # solve is the cold solve
         start = solve_capacity(1.0).input
         assert start.k == 2
         rep = solve_capacity(10.0, start=start)
         cold = solve_capacity(10.0)
-        ladder = [h.k_tried for h in rep.history]
-        assert ladder == [h.k_tried for h in cold.history] == [5, 7, 9, 11]
+        assert [h.k_tried for h in cold.history] == [5, 7, 9, 11]
+        assert rep.history == cold.history
         assert rep.converged and rep.k == cold.k == 11
-        assert abs(rep.capacity_nats - cold.capacity_nats) <= 1e-12
+        assert rep.input == cold.input
+        assert rep.capacity_nats == cold.capacity_nats
+
+    def test_each_level_samples_log_f_once_after_slsqp(self, monkeypatch):
+        # log f is sampled once per objective call and once per level, by the
+        # level's KKT scan, which also gives the level's I
+        import acawgn.inputs as inputs
+        import acawgn.solver as solver
+
+        counts = {"_samples": 0, "_objective": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(inputs, "_samples")
+        counted(solver, "_objective")
+        rep = solve_capacity(8.0)
+        assert rep.converged and len(rep.history) == 3
+        assert counts["_samples"] == counts["_objective"] + len(rep.history)
 
     @pytest.mark.parametrize("A, K, most", [(12.0, 13, 100), (20.0, 23, 300)],
                              ids=["A12", "A20"])
