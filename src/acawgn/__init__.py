@@ -8,10 +8,7 @@ amplitude.
 """
 
 from .numerics import (
-    DEFAULT_QUAD,
     QuadratureNonConvergence,
-    QuadratureSpec,
-    adaptive_quad,
     adaptive_quad_family,
     bulk_sup_deviation,
     tv_distance,

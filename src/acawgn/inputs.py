@@ -251,20 +251,16 @@ def _marginal_info_batch(y, lf, pitch, xs, derivatives=0):
     return out
 
 
-def _info_stats(A: float, locs: np.ndarray, ws: np.ndarray, want_locations: bool = False):
-    """I, every i(x_j) and, with ``want_locations``, every dI/dx_j, in one pass.
+def _info_stats(A: float, locs: np.ndarray, ws: np.ndarray, xs, derivatives: int = 0):
+    """The rows of ``_marginal_info_batch`` at the points ``xs`` for the atoms (locs, ws).
 
-    All three come from one set of log f samples at pitch ``_pitch(locs)``:
-    I = sum_j w_j i(x_j) and dI/dx_j = w_j * i'(x_j), with i and i' as in
-    ``_marginal_info_batch``.
+    They come from one set of log f samples at pitch ``_pitch(locs)``.  With
+    ``xs = locs``, I = sum_j w_j i(x_j) and dI/dx_j = w_j i'(x_j).
     """
     locs = np.asarray(locs, dtype=float)
-    ws = np.asarray(ws, dtype=float)
     pitch = _pitch(locs)
-    y, lf = _samples(A, locs, ws, pitch)
-    rows = _marginal_info_batch(y, lf, pitch, locs, int(want_locations))
-    d_loc = ws * rows[1] if want_locations else None
-    return float(ws @ rows[0]), rows[0], d_loc
+    y, lf = _samples(A, locs, np.asarray(ws, dtype=float), pitch)
+    return _marginal_info_batch(y, lf, pitch, xs, derivatives)
 
 
 def mutual_information(pi: DiscreteInput) -> float:
@@ -273,7 +269,8 @@ def mutual_information(pi: DiscreteInput) -> float:
     Equals h(f_pi) - 0.5*log(2*pi*e), computed by the trapezoid rule as
     sum_j w_j * i(x_j) (see ``_info_stats``).  Nonnegative up to rounding.
     """
-    return _info_stats(pi.A, *pi.as_arrays())[0]
+    locs, ws = pi.as_arrays()
+    return float(ws @ _info_stats(pi.A, locs, ws, locs)[0])
 
 
 def _convolved_info(lf: np.ndarray, pitch: float, n: int) -> np.ndarray:

@@ -23,20 +23,16 @@ concurrently from many threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 from scipy.special import ndtr
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureNonConvergence",
-    "DEFAULT_QUAD",
     "TAIL_PAD",
     "HALF_LOG_2PI_E",
     "uniform_output_density",
-    "adaptive_quad",
     "adaptive_quad_family",
     "tv_distance",
     "bulk_sup_deviation",
@@ -68,31 +64,13 @@ def uniform_output_density(A: float, x: ArrayLike) -> ArrayLike:
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and limits for the adaptive Gauss-Kronrod integrator."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_depth: int = 40
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-
-
-DEFAULT_QUAD = QuadratureSpec()
-
-
 class QuadratureNonConvergence(RuntimeError):
     """Raised when an integral cannot be trusted to its error target.
 
     On the solve, scan and certify paths only the KKT scan's pitch check
     raises it (``inputs._kkt_scan``): ``estimate`` is I at the trapezoid
     pitch h and ``error_bound`` is |I(h) - I(2h)|.  ``adaptive_quad_family``
-    raises it with per-integrand arrays when its panels reach max_depth.
+    raises it with per-integrand arrays when its panels reach _QUAD_MAX_DEPTH.
     """
 
     def __init__(self, estimate, error_bound):
@@ -128,6 +106,15 @@ _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[3:], _WG_HALF[:3][::-1]])
 
 _MAX_PANELS = 200_000
 
+# adaptive_quad_family starts from _QUAD_PANELS equal panels.  A member has
+# converged once its summed panel errors are below max(_QUAD_ABS_TOL,
+# _QUAD_REL_TOL * |integral|); no panel is bisected more than _QUAD_MAX_DEPTH
+# times.
+_QUAD_ABS_TOL = 1e-10
+_QUAD_REL_TOL = 1e-8
+_QUAD_MAX_DEPTH = 40
+_QUAD_PANELS = 8
+
 
 def _eval_panels(f, a, b):
     """Gauss-Kronrod 7/15 on each panel [a_i, b_i]; f maps (n,) -> (m, n)."""
@@ -147,8 +134,6 @@ def adaptive_quad_family(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-    initial_panels: int = 8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a family of integrands over [lo, hi] on one shared partition.
 
@@ -159,27 +144,26 @@ def adaptive_quad_family(
     error_bounds), both of shape (m,).
 
     Raises QuadratureNonConvergence once every offending panel has reached
-    ``spec.max_depth`` (or on panel-count blowup), carrying the best
+    ``_QUAD_MAX_DEPTH`` (or on panel-count blowup), carrying the best
     estimates and error bounds.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
-    n0 = max(1, int(initial_panels))
-    edges = np.linspace(lo, hi, n0 + 1)
+    edges = np.linspace(lo, hi, _QUAD_PANELS + 1)
     a, b = edges[:-1], edges[1:]
-    depth = np.zeros(n0, dtype=int)
+    depth = np.zeros(_QUAD_PANELS, dtype=int)
     vals, errs = _eval_panels(f, a, b)
 
     while True:
         totals = vals.sum(axis=1)
         tot_err = errs.sum(axis=1)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(totals))
+        tol = np.maximum(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(totals))
         bad = tot_err > tol
         if not bad.any():
             return totals, tot_err
         # Normalized per-panel severity over the unconverged members only.
         score = (errs[bad] / tol[bad, None]).max(axis=0)
-        score[depth >= spec.max_depth] = 0.0
+        score[depth >= _QUAD_MAX_DEPTH] = 0.0
         smax = score.max()
         if smax <= 0.0 or a.size > _MAX_PANELS:
             raise QuadratureNonConvergence(totals, tot_err)
@@ -200,22 +184,6 @@ def adaptive_quad_family(
         depth = np.concatenate([depth[keep], new_depth])
         vals = np.concatenate([vals[:, keep], nv], axis=1)
         errs = np.concatenate([errs[:, keep], ne], axis=1)
-
-
-def adaptive_quad(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-    initial_panels: int = 8,
-) -> float:
-    """Adaptive integral of a single vectorized integrand over [lo, hi]."""
-
-    def fam(x):
-        return np.asarray(f(x), dtype=float)[None, :]
-
-    vals, _ = adaptive_quad_family(fam, lo, hi, spec, initial_panels)
-    return float(vals[0])
 
 
 # Exact TV against the smoothed uniform law (``tv_distance``).  The sign

@@ -24,8 +24,9 @@ size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
   Scans pass each certified row on to the next.
 
 The objective, its gradient, condensing, C and both KKT residuals all come
-from the trapezoid rule of ``acawgn.inputs``; no adaptive quadrature runs in
-a solve, and no option sets a quadrature tolerance.  A solve is
+from the trapezoid rule of ``acawgn.inputs``; the objective sums i and i'
+at the nonnegative atoms only (see ``_objective``).  No adaptive quadrature
+runs in a solve, and no option sets a quadrature tolerance.  A solve is
 deterministic: it draws no random numbers.  ``SolveConfig`` holds only what
 the CLI sets: ``max_k``, ``kkt_eps`` and ``seed``.
 """
@@ -85,14 +86,17 @@ class SolveConfig:
     def __post_init__(self):
         if self.max_k is not None and self.max_k < 1:
             raise ValueError("max_k must be >= 1")
-        if not (self.kkt_eps > 0.0):
-            raise ValueError("kkt_eps must be positive")
+        if not (0.0 < self.kkt_eps < math.inf):
+            raise ValueError(f"kkt_eps must be positive and finite, got {self.kkt_eps}")
 
     def max_k_for(self, A: float) -> int:
         """The cap on K at amplitude A: ``max_k``, or by default max(40, 2*ceil(A)).
 
-        Dytso et al. (IEEE T-IT 66(4), 2020) prove K_A = O(A^2); K_A/A has
-        been measured at most 1.25 up to A = 100.
+        Dytso et al. (IEEE T-IT 66(4), 2020) prove K_A = O(A^2).  At large A
+        the walk ends where the ripple of its bulk comb (spacing d) drops
+        below eps: r_global is about 4 exp(-4 pi^2 / d^2), so K/A tends to
+        sqrt(ln(4/eps))/pi, 1.241 at eps = 1e-6.  That K is an eps-optimal
+        input's, not the optimum's (23 against 25 at A = 20).
         """
         if self.max_k is not None:
             return self.max_k
@@ -178,14 +182,6 @@ class _Param:
             c[0] = 1.0
         return c
 
-    def fold_gradient(self, d_loc: np.ndarray, d_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map full-atom gradients onto the reduced coordinates."""
-        m, hc = self.x.size, self.has_center
-        neg = slice(0, m)          # full index i holds -x[m-1-i]
-        pos = slice(m + hc, 2 * m + hc)
-        gx = d_loc[pos] - d_loc[neg][::-1]
-        return gx, np.concatenate([d_w[m:m + hc], d_w[pos] + d_w[neg][::-1]])
-
     def bounds(self) -> list[tuple[float, float]]:
         """Box of each coordinate of the vector (x, v), in order."""
         return [(0.0, self.A)] * self.x.size + [(0.0, 1.0)] * self.v.size
@@ -227,18 +223,22 @@ def _param_from_input(pi: DiscreteInput, K: int, prefer: float | None = None) ->
 def _objective(p: _Param) -> tuple[float, np.ndarray]:
     """I and its gradient in p's coordinates (x, v), from one trapezoid pass.
 
-    I is returned as sum_j w_j i(x_j).  The gradient is that of
-    h(f) - log(2 pi e)/2, which equals I only on the simplex: its weight
-    entries are the raw partials i(x_j) - 1 + log(2 pi e)/2, folded onto the
-    reduced coordinates, and differ from those of the returned I by
-    log(2 pi e)/2 * c, a multiple of the normal of c . v = 1 that SLSQP's
-    multiplier absorbs.  The name is kept because the benchmark's tracer
-    wraps it.
+    log f is sampled from ``p.expand()``, but i and i' are summed only at the
+    centre and the pair locations x_j >= 0: i is even and i' odd for a
+    symmetric input.  So I = sum_j c_j v_j i(x_j), with c from
+    ``weight_constraint``, and dI/dx_j = 2 v_j i'(x_j) for a pair.  The
+    weight entries are c_j (i(x_j) - 1 + log(2 pi e)/2), the gradient of
+    h(f) - log(2 pi e)/2, which equals I only on the simplex: they differ
+    from those of the returned I by log(2 pi e)/2 * c, a multiple of the
+    normal of c . v = 1 that SLSQP's multiplier absorbs.  The name is kept
+    because the benchmark's tracer wraps it.
     """
-    locs, ws = p.expand()
-    info, i_vec, d_loc = _info_stats(p.A, locs, ws, want_locations=True)
-    gx, gv = p.fold_gradient(d_loc, i_vec + HALF_LOG_2PI_E - 1.0)
-    return info, np.concatenate([gx, gv])
+    hc = int(p.has_center)
+    xs = np.concatenate([[0.0], p.x]) if hc else p.x
+    i, d1 = _info_stats(p.A, *p.expand(), xs, 1)
+    c = p.weight_constraint()
+    gx = 2.0 * p.v[hc:] * d1[hc:]
+    return float((c * p.v) @ i), np.concatenate([gx, c * (i + HALF_LOG_2PI_E - 1.0)])
 
 
 def _pg_maximize(param: _Param, status: list[str]) -> tuple[_Param, float, bool, int]:

@@ -239,6 +239,9 @@ class TestAmplitudeValidation:
         "solve --amplitude 1 --eps -1",
         "solve --amplitude 1 --max-k 0",
         "scan --grid 1 --eps -1",
+        "solve --amplitude 3 --eps inf",
+        "scan --grid 2,5,8 --eps inf",
+        "scan --grid 2,5,8 --eps 1e400",
         "bounds --amplitude 1e-300",
     ])
     def test_rejected_before_any_solve(self, argv, capsys):

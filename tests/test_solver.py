@@ -46,17 +46,28 @@ class TestInfoGradient:
 
     def test_symmetric_input_antisymmetric_location_gradient(self):
         # the full-atom gradient of a symmetric input is antisymmetric in the
-        # locations and symmetric in the weights, and _objective folds it
+        # locations and symmetric in the weights; _objective sums i and i' at
+        # the centre and the pairs x_j >= 0 only, and must equal the full
+        # rows folded onto (x, v): centred, uncentred, and with a pair at 0
         pi = DiscreteInput(A=2.0, locations=(-1.5, 0.0, 1.5), weights=(0.3, 0.4, 0.3))
-        info, i_vec, d_loc = _info_stats(pi.A, *pi.as_arrays(), want_locations=True)
-        assert d_loc[0] == pytest.approx(-d_loc[2], abs=1e-10)
-        assert abs(d_loc[1]) <= 1e-10
+        i_vec, d1 = _info_stats(pi.A, *pi.as_arrays(), pi.locations, 1)
+        assert d1[0] == pytest.approx(-d1[2], abs=1e-10)
+        assert abs(d1[1]) <= 1e-10
         assert i_vec[0] == pytest.approx(i_vec[2], abs=1e-10)
-        p = _Param(2.0, True, np.array([1.5]), np.array([0.4, 0.3]))
-        got, grad = _objective(p)
-        assert got == info
-        raw = i_vec + HALF_LOG_2PI_E - 1.0
-        assert grad == pytest.approx([2 * d_loc[2], raw[1], 2 * raw[2]], abs=1e-12)
+        for p in (_Param(2.0, True, np.array([1.5]), np.array([0.4, 0.3])),
+                  _Param(3.0, False, np.array([0.7, 2.6]), np.array([0.3, 0.2])),
+                  _Param(3.0, False, np.array([0.0, 2.2]), np.array([0.15, 0.35]))):
+            locs, ws = p.expand()
+            i_vec, d1 = _info_stats(p.A, locs, ws, locs, 1)
+            raw, d_loc = i_vec + HALF_LOG_2PI_E - 1.0, ws * d1
+            m, hc = p.x.size, int(p.has_center)
+            pos, neg = slice(m + hc, None), slice(m - 1, None, -1)
+            folded = np.concatenate([d_loc[pos] - d_loc[neg], raw[m:m + hc],
+                                     raw[pos] + raw[neg]])
+            got, grad = _objective(p)
+            # ws @ i_vec is mutual_information's sum (pi's, for the first p)
+            assert abs(got - float(ws @ i_vec)) <= 1e-15
+            assert grad == pytest.approx(folded, abs=1e-13)
 
     def test_optimal_binary_gradient_vanishes(self):
         # binary +-0.8 is optimal: the weight gradient is a multiple of c, so
@@ -159,6 +170,8 @@ class TestSolveConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolveConfig(kkt_eps=0.0)
+        with pytest.raises(ValueError):
+            SolveConfig(kkt_eps=math.inf)
         with pytest.raises(ValueError):
             SolveConfig(max_k=0)
 
@@ -299,6 +312,31 @@ class TestSolveCapacity:
         # equispaced first level; every later level starts from the one before
         assert calls[0][1] is None
         assert all(now[1] is before[2] for before, now in zip(calls, calls[1:]))
+
+    def test_ripple_law_sets_the_large_amplitude_levels(self, monkeypatch):
+        # at large A a level's deficit is the ripple of its bulk comb: with d
+        # the atom spacing there, r_global ~ 4 exp(-4 pi^2 / d^2), and i(x)
+        # peaks midway between two atoms (see SolveConfig.max_k_for)
+        import acawgn.solver as solver
+
+        levels = []   # (input, r_global, x_viol) per level
+        real = solver._kkt_scan
+
+        def recorded(pi):
+            out = real(pi)
+            levels.append((np.array(pi.locations), out[1], out[2]))
+            return out
+
+        monkeypatch.setattr(solver, "_kkt_scan", recorded)
+        assert solve_capacity(40.0).converged
+        ripple = [lv for lv in levels if 1e-9 < lv[1] < 1e-2]
+        assert len(ripple) >= 6
+        inv_d2 = [np.median(np.diff(locs[np.abs(locs) <= 20.0])) ** -2 for locs, _, _ in ripple]
+        slope = np.polyfit(inv_d2, [math.log(r) for _, r, _ in ripple], 1)[0]
+        assert slope == pytest.approx(-4.0 * math.pi**2, rel=0.01)
+        for locs, _, x in ripple[-4:]:
+            j = np.searchsorted(locs, x)
+            assert abs(x - 0.5 * (locs[j - 1] + locs[j])) <= 0.1
 
     def test_solve_runs_no_adaptive_quadrature(self, monkeypatch):
         import acawgn.numerics as numerics

@@ -1,10 +1,13 @@
-"""README's library example runs, and every exported name resolves."""
+"""README's library example runs, its CLI examples parse, and every exported name resolves."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from acawgn.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SUBMODULES = ("numerics", "inputs", "solver", "certificates", "scan")
@@ -20,6 +23,17 @@ def test_readme_library_example_runs():
     code = _library_example()
     assert "from acawgn import (" in code
     exec(compile(code, str(README), "exec"), {})
+
+
+def test_readme_cli_examples_parse():
+    # the sh block under README's "CLI" heading; build_parser's parser raises
+    # CliError on any argument it does not accept
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    examples = [ln for ln in block.splitlines() if ln.startswith("acawgn ")]
+    assert examples
+    for line in examples:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
