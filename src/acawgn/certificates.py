@@ -15,8 +15,14 @@ rank deficit of the moment matrix against the identity, and the closed-form
 floor (1/4) exp(-2 pi^2 K^2 / A^2) that depends on K/A only.
 
 Moments are plain ndarrays (t_0..t_n, with t_{-k} = conj(t_k), and the
-matrix T_n); ``certificate_report`` builds T_2K once and reads the max-norm
-bound, the Frobenius gap and the numerical rank from it.
+matrix T_n).  ``certificate_report`` builds no (2K+1) x (2K+1) matrix.  It
+computes t_0..t_2K once and reads the max-norm bound from it.  The Frobenius
+gap ||I - T_2K||_F is a weighted sum of the |t_k|^2, since T_2K is constant
+along its diagonals.  The numerical rank comes from a real K x K Gram
+matrix: T_2K = B^H B with B[a, k] = sqrt(w_a) exp(i k delta x_a), and
+rotating row a of B by exp(-i K delta x_a) makes B B^H = R R^T with the real
+R = [sqrt(w), sqrt(2 w) cos(j delta x), sqrt(2 w) sin(j delta x)], j = 1..K.
+So the nonzero singular values of T_2K are the eigenvalues of R R^T.
 
 The exponential factors underflow doubles once K is a few multiples of A, so
 every bound is computed (and reported) in log-space alongside its linear
@@ -31,7 +37,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .inputs import DiscreteInput
 from .numerics import tv_distance
@@ -65,14 +70,21 @@ def trig_moment_sequence(pi: DiscreteInput, n: int, delta: float) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be >= 0")
     locs, ws = pi.as_arrays()
-    ks = np.arange(0, n + 1)
-    return (np.exp(1j * delta * np.outer(ks, locs)) * ws).sum(axis=1)
+    return (_waves(locs, n, delta) * ws).sum(axis=1)
+
+
+def _waves(locs: np.ndarray, n: int, delta: float) -> np.ndarray:
+    """exp(i k delta x_a): row k = 0..n, column a = each atom."""
+    return np.exp(1j * delta * np.outer(np.arange(0, n + 1), locs))
 
 
 def moment_matrix(pi: DiscreteInput, n: int, delta: float) -> np.ndarray:
     """The (n+1) x (n+1) Hermitian Toeplitz T_n with (j, l) = t_{l-j}; rank <= K."""
     row = trig_moment_sequence(pi, n, delta)
-    return toeplitz(np.conj(row), row)
+    # t_{-n}..t_0 then t_1..t_n; the diagonal holds conj(t_0)
+    vals = np.concatenate((np.conj(row[::-1]), row[1:]))
+    idx = np.arange(n + 1)
+    return vals[n + idx[None, :] - idx[:, None]]
 
 
 def numerical_rank(mat: np.ndarray) -> int:
@@ -150,17 +162,35 @@ def rank_route_bound(pi: DiscreteInput) -> tuple[float, float]:
     by 2 e^{2 K^2 delta^2} (2K+1), evaluated in log-space to dodge underflow.
     """
     delta = base_frequency(pi.A)
-    return _rank_route(moment_matrix(pi, 2 * pi.k, delta), pi.k, delta)
+    return _rank_route(trig_moment_sequence(pi, 2 * pi.k, delta), pi.k, delta)
 
 
-def _rank_route(T: np.ndarray, K: int, delta: float) -> tuple[float, float]:
-    """rank_route_bound from a ready moment matrix T = T_2K(delta)."""
-    gap = float(np.linalg.norm(np.eye(2 * K + 1) - T, "fro"))
+def _rank_route(t: np.ndarray, K: int, delta: float) -> tuple[float, float]:
+    """rank_route_bound from the moments t_0..t_2K at ``delta``.
+
+    I - T_2K holds 1 - conj(t_0) on its 2K+1 diagonal entries, and -t_k or
+    -conj(t_k) on the 2(2K+1-k) entries of diagonals +-k.
+    """
+    n = 2 * K
+    off = np.arange(n, 0, -1) @ (t.real[1:] ** 2 + t.imag[1:] ** 2)
+    gap = math.sqrt((n + 1) * abs(1.0 - t[0]) ** 2 + 2.0 * float(off))
     if gap <= 0.0:
         return 0.0, 0.0
     log_bound = math.log(gap) - 2.0 * (K * delta) ** 2 - math.log(2.0 * (2 * K + 1))
     implied = math.exp(log_bound) if log_bound > -745.0 else 0.0
     return gap, implied
+
+
+def _gram(waves: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """R R^T, R = [sqrt(w), sqrt(2w) cos(j delta x), sqrt(2w) sin(j delta x)], j = 1..K.
+
+    ``waves`` holds rows 1..K of ``_waves``.  The eigenvalues of R R^T are
+    the nonzero singular values of T_2K (see the module docstring).
+    """
+    root_w = np.sqrt(ws)
+    r_t = np.vstack([root_w, math.sqrt(2.0) * root_w * waves.real,
+                     math.sqrt(2.0) * root_w * waves.imag])
+    return r_t.T @ r_t
 
 
 @dataclass(frozen=True)
@@ -212,11 +242,13 @@ def certificate_report(pi: DiscreteInput, measure_tv: bool = False) -> Certifica
     A = pi.A
     K = pi.k
     delta = base_frequency(A)
-    T = moment_matrix(pi, 2 * K, delta)
-    log_mb, argmax_k = _maxnorm_log(T[0], delta)  # row 0 holds t_1 .. t_2K
+    locs, ws = pi.as_arrays()
+    waves = _waves(locs, 2 * K, delta)
+    t = (waves * ws).sum(axis=1)  # trig_moment_sequence(pi, 2K, delta)
+    log_mb, argmax_k = _maxnorm_log(t, delta)
     maxnorm = math.exp(log_mb) if log_mb > -745.0 else 0.0
-    gap, implied = _rank_route(T, K, delta)
-    rank = numerical_rank(T)
+    gap, implied = _rank_route(t, K, delta)
+    rank = numerical_rank(_gram(waves[1:K + 1], ws))
     measured = None
     if measure_tv:
         measured = tv_distance(pi)

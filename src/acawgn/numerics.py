@@ -193,13 +193,15 @@ def adaptive_quad_family(
 # root, or exactly one, is split _TV_SPLIT ways, until a pair of roots it
 # might still hide would enclose less than _TV_MISSED_AREA of |g|.  Every
 # piece keeps the curvature bound of its first-pass cell: a sup over a cell
-# bounds every piece of it, and each bound costs a (K x cells) pass.  Each
-# bracket is then cut _TV_SECTIONS ways, _TV_ROUNDS times, keeping the first piece
-# whose ends differ in sign, so that every bracket still holds a sign change
-# and shrinks 16^8 = 2^32-fold.  A typical input has a few brackets, where a
-# call of g costs its overhead, not its arithmetic; so few calls on 15 points
-# per bracket beat many on one.  D' = g vanishes at a root, so a root off by
-# delta moves D by O(delta^2) only.
+# bounds every piece of it, and each bound costs a (K x cells) pass.
+# Each bracket's root is then polished by safeguarded Newton ("rtsafe",
+# Numerical Recipes, 3rd ed., section 9.4) from its secant point: a step
+# that would leave the bracket, or would not halve the step before last,
+# bisects instead, and every evaluation shrinks the bracket.  A root is done
+# once its step is at most _TV_STEP; D' = g vanishes there, so a root off
+# by delta moves D by O(delta^2) only.  A bracket proved to hold one simple
+# root takes about three rounds; _TV_NEWTON_ROUNDS only bounds the time,
+# and a root still moving when it is reached stays inside its bracket.
 # Splitting stops early once the unsettled cells times K pass _TV_MAX_WORK,
 # which bounds time and memory: that happens only where p - q stays at
 # rounding level over long stretches (a dense equispaced input, say), and
@@ -209,7 +211,8 @@ _TV_PITCH = 0.25
 _TV_PAD = 12.0
 _TV_SPLIT = 4
 _TV_MISSED_AREA = 1e-17
-_TV_SECTIONS, _TV_ROUNDS = 16, 8
+_TV_STEP = 1e-9
+_TV_NEWTON_ROUNDS = 50
 _TV_MAX_WORK = 1 << 18
 
 
@@ -219,6 +222,15 @@ def _mixture_minus_uniform(A: float, locs, ws, y: np.ndarray) -> np.ndarray:
     # checks of uniform_output_density would cost more than the arithmetic.
     d, ay = np.subtract.outer(locs, y), np.abs(y)
     return INV_SQRT_2PI * (ws @ np.exp(-0.5 * d * d)) - (ndtr(A - ay) - ndtr(-A - ay)) / (2.0 * A)
+
+
+def _mixture_minus_uniform_slope(A: float, locs, ws, y: np.ndarray):
+    """(g(y), g'(y)), g' = sum_j w_j phi'(y - x_j) - (phi(y + A) - phi(y - A))/(2A)."""
+    d, ay = np.subtract.outer(locs, y), np.abs(y)
+    e = np.exp(-0.5 * d * d)
+    g = INV_SQRT_2PI * (ws @ e) - (ndtr(A - ay) - ndtr(-A - ay)) / (2.0 * A)
+    dq = np.exp(-0.5 * (y + A) ** 2) - np.exp(-0.5 * (y - A) ** 2)
+    return g, INV_SQRT_2PI * (ws @ (d * e) - dq / (2.0 * A))
 
 
 def _cdf_difference(A: float, locs, ws, y: np.ndarray) -> np.ndarray:
@@ -270,7 +282,8 @@ def _tv_roots(A: float, locs, ws) -> np.ndarray:
         settled |= M * s ** 3 / 12.0 < _TV_MISSED_AREA
         if np.count_nonzero(~settled) * locs.size > _TV_MAX_WORK:
             settled[:] = True
-        brackets.append((a[settled & change], b[settled & change], ga[settled & change]))
+        keep = settled & change
+        brackets.append((a[keep], b[keep], ga[keep], gb[keep]))
         a, b, ga, gb = a[~settled], b[~settled], ga[~settled], gb[~settled]
         M = np.repeat(M[~settled], _TV_SPLIT)
         t = a[:, None] + (b - a)[:, None] * (np.arange(_TV_SPLIT + 1) / _TV_SPLIT)
@@ -278,14 +291,28 @@ def _tv_roots(A: float, locs, ws) -> np.ndarray:
         gt = np.column_stack([ga, inner.reshape(a.size, _TV_SPLIT - 1), gb])
         a, b = t[:, :-1].ravel(), t[:, 1:].ravel()
         ga, gb = gt[:, :-1].ravel(), gt[:, 1:].ravel()
-    a, b, ga = (np.concatenate(col) for col in zip(*brackets))
-    positive, w = ga >= 0.0, b - a
-    for _ in range(_TV_ROUNDS):
-        t = a[:, None] + w[:, None] * (np.arange(1, _TV_SECTIONS) / _TV_SECTIONS)
-        same = (_mixture_minus_uniform(A, locs, ws, t.ravel()) >= 0.0).reshape(t.shape)
-        w = w / _TV_SECTIONS
-        a = a + w * np.logical_and.accumulate(same == positive[:, None], axis=1).sum(axis=1)
-    return np.sort(a + 0.5 * w)
+    a, b, ga, gb = (np.concatenate(col) for col in zip(*brackets))
+    positive = ga >= 0.0
+    y = a - ga * ((b - a) / (gb - ga))
+    step = before = b - a
+    roots = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_TV_NEWTON_ROUNDS):
+            g, dg = _mixture_minus_uniform_slope(A, locs, ws, y)
+            beyond = (g >= 0.0) == positive  # the root lies above y
+            a, b = np.where(beyond, y, a), np.where(beyond, b, y)
+            newton = y - g / dg
+            bisect = ~((newton >= a) & (newton <= b)) | (np.abs(2.0 * g) > np.abs(before * dg))
+            new = np.where(bisect, 0.5 * (a + b), newton)
+            before, step = step, np.abs(new - y)
+            y = new
+            done = step <= _TV_STEP
+            if done.all():
+                break
+            roots.append(y[done])
+            a, b, y, positive, step, before = (
+                v[~done] for v in (a, b, y, positive, step, before))
+    return np.sort(np.concatenate([*roots, y]))
 
 
 def _tv_parts(A: float, locs, ws, cuts=()) -> np.ndarray:

@@ -11,7 +11,8 @@ or JSON), log-log scaling-law fits of K_A against A, and a three-way split
 of the TV integral (tails / bulk) that mirrors how the bulk flatness
 controls the distance.
 
-Scans are deterministic and solve the amplitudes in grid order, with
+Scans are deterministic at a fixed BLAS thread count, as solves are (see
+``acawgn.solver``), and solve the amplitudes in grid order, with
 continuation in A: each row's solve starts from the previous row's
 certified input, its atoms scaled to the new amplitude (``solve_capacity``'s
 ``start``).  The first row, and a row after an ``error`` or ``unconverged``

@@ -26,9 +26,13 @@ size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
 The objective, its gradient, condensing, C and both KKT residuals all come
 from the trapezoid rule of ``acawgn.inputs``; the objective sums i and i'
 at the nonnegative atoms only (see ``_objective``).  No adaptive quadrature
-runs in a solve, and no option sets a quadrature tolerance.  A solve is
-deterministic: it draws no random numbers.  ``SolveConfig`` holds only what
-the CLI sets: ``max_k``, ``kkt_eps`` and ``seed``.
+runs in a solve, and no option sets a quadrature tolerance.  A solve draws
+no random numbers, and it is deterministic at a fixed BLAS thread count:
+OpenBLAS rounds the matrix products of ``acawgn.inputs`` differently when
+it splits them over threads, and SLSQP can carry that rounding along the
+flat directions of an eps-optimal input.  ``OPENBLAS_NUM_THREADS=1``
+reproduces the benchmark's numbers.  ``SolveConfig`` holds only what the
+CLI sets: ``max_k``, ``kkt_eps`` and ``seed``.
 """
 
 from __future__ import annotations

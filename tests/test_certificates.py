@@ -113,6 +113,17 @@ class TestMomentMatrix:
             for l in range(5):
                 assert T[j, l] == pytest.approx(_moment(pi, l - j, delta), abs=1e-14)
 
+    def test_matches_scipy_toeplitz(self):
+        from scipy.linalg import toeplitz
+
+        rng = np.random.default_rng(73)
+        for _ in range(10):
+            pi = random_input(rng, k_lo=1, k_hi=20, a_lo=1.0, a_hi=30.0)
+            n = 2 * pi.k
+            row = trig_moment_sequence(pi, n, base_frequency(pi.A))
+            T = moment_matrix(pi, n, base_frequency(pi.A))
+            assert np.array_equal(T, toeplitz(np.conj(row), row))
+
     def test_order_zero(self):
         pi = DiscreteInput(A=1.0, locations=(0.3,), weights=(1.0,))
         T = moment_matrix(pi, 0, base_frequency(1.0))
@@ -252,19 +263,17 @@ class TestCertificateReport:
         assert d["K"] == 3
         assert d["measured_tv"] == rep.measured_tv
 
-    def test_builds_moment_matrix_once(self, monkeypatch):
+    def test_report_builds_no_moment_matrix(self, monkeypatch):
         import acawgn.certificates as cert
 
-        calls = []
+        def refuse(*args):
+            raise AssertionError("certificate_report built T_2K")
 
-        def counting(*args):
-            calls.append(args)
-            return moment_matrix(*args)
-
-        monkeypatch.setattr(cert, "moment_matrix", counting)
         pi = DiscreteInput(A=3.0, locations=(-2.0, 0.5, 2.0), weights=(0.3, 0.3, 0.4))
-        certificate_report(pi)
-        assert len(calls) == 1
+        expected = certificate_report(pi, measure_tv=True)
+        monkeypatch.setattr(cert, "moment_matrix", refuse)
+        assert certificate_report(pi, measure_tv=True) == expected
+        assert cert.rank_route_bound(pi) == (expected.frobenius_gap, expected.rank_route_bound)
 
     def test_rank_fields_match_standalone_routes(self):
         rng = np.random.default_rng(67)
@@ -274,6 +283,31 @@ class TestCertificateReport:
             gap, implied = rank_route_bound(pi)
             T = moment_matrix(pi, 2 * pi.k, base_frequency(pi.A))
             assert (rep.frobenius_gap, rep.rank_route_bound) == (gap, implied)
+            assert rep.numerical_rank == numerical_rank(T)
+
+    def test_coincident_fourier_nodes(self):
+        # delta = pi/A maps -A and A to the same node exp(i pi k), so three
+        # atoms give T_2K (and the K x K Gram) rank 2
+        pi = DiscreteInput(A=2.5, locations=(-2.5, 0.0, 2.5), weights=(0.3, 0.4, 0.3))
+        T = moment_matrix(pi, 2 * pi.k, base_frequency(pi.A))
+        assert numerical_rank(T) == 2
+        assert certificate_report(pi).numerical_rank == 2
+
+    def test_gram_route_matches_toeplitz_svd(self):
+        # up to K = 48 at A = 40, as certify-batch reaches: random inputs and
+        # jittered equispaced ones; three of the sixteen fall one short of
+        # full rank
+        rng = np.random.default_rng(71)
+        inputs = [random_input(rng, k_lo=1, k_hi=48, a_lo=1.0, a_hi=40.0) for _ in range(12)]
+        for A in (3.0, 11.0, 23.0, 40.0):
+            K = round(1.2 * A)
+            x = np.linspace(-A, A, K) + rng.uniform(-0.2, 0.2, K)
+            inputs.append(DiscreteInput.normalized(A, np.clip(x, -A, A), np.ones(K) / K))
+        for pi in inputs:
+            rep = certificate_report(pi)
+            T = moment_matrix(pi, 2 * pi.k, base_frequency(pi.A))
+            sv = np.linalg.svd(np.eye(2 * pi.k + 1) - T, compute_uv=False)
+            assert rep.frobenius_gap == pytest.approx(float(np.sqrt((sv**2).sum())), rel=1e-12)
             assert rep.numerical_rank == numerical_rank(T)
 
     def test_no_tv_by_default(self):

@@ -22,12 +22,25 @@ from acawgn import (
 )
 from acawgn.numerics import _NODES, _WG, _WK, _tv_roots
 
-from oracles import quad_oracle, quadpack_tv
+from oracles import mixture_pdf, quad_oracle, quadpack_tv, uniform_density
 
 # The certify-batch inputs (seed, batch) on which the adaptive rule that
 # measured TV before the exact route missed a kink of |p - q| by more than
 # 1e-4 relative; perfbench/NOTES.md lists them.
 KNOWN_INPUTS = json.loads((Path(__file__).parent / "tv_known_inputs.json").read_text())
+
+# Input 13 of batch 2 of the certify-batch workload at seed 501: of the
+# seed's 1152 inputs, the one whose roots take the most Newton rounds in
+# _tv_roots (8; most inputs take 3).
+NEWTON_SLOWEST = {
+    "A": 6.595148760366418,
+    "points": [-6.595148760366418, -4.6587771776183535, -3.245054738391467,
+               -1.3161130555672949, 1.1920227944139157, 3.2201849749756177,
+               4.760322051325015, 6.2618724264393135],
+    "weights": [0.253698224852071, 0.11295435333896874, 0.069843617920541,
+                0.06350380388841928, 0.06350380388841928, 0.06984361792054099,
+                0.1129543533389687, 0.253698224852071],
+}
 
 RNG = np.random.default_rng(20240808)
 
@@ -165,6 +178,13 @@ def _three_crossings_input():
                          weights=(edge, w1, w2, edge))
 
 
+def _trapezoid_input(K, A=10.0):
+    """K equispaced atoms on [-A, A] with trapezoid weights: close to Unif[-A, A]."""
+    w = np.ones(K)
+    w[[0, -1]] = 0.5
+    return DiscreteInput.normalized(A, np.linspace(-A, A, K), w / w.sum())
+
+
 def _mirror(pi):
     return DiscreteInput(A=pi.A, locations=tuple(-x for x in reversed(pi.locations)),
                          weights=tuple(reversed(pi.weights)))
@@ -196,16 +216,38 @@ class TestTvDistance:
         # (the trapezoid rule's endpoint error).  At K = 201, p - q sits at
         # rounding level over most of [-A, A], no cell there can be settled,
         # and the bracketing must stop at its work bound.
-        A = 10.0
-        inputs, tvs = [], []
-        for K in (101, 201):
-            w = np.ones(K)
-            w[[0, -1]] = 0.5
-            inputs.append(DiscreteInput.normalized(A, np.linspace(-A, A, K), w / w.sum()))
-            tvs.append(tv_distance(inputs[-1]))
+        inputs = [_trapezoid_input(K) for K in (101, 201)]
+        tvs = [tv_distance(pi) for pi in inputs]
         assert tvs[1] <= 4e-5
         assert tvs[0] / tvs[1] == pytest.approx(4.0, rel=1e-2)
-        assert tvs[1] == pytest.approx(quadpack_tv(A, *inputs[1].as_arrays()), rel=1e-8, abs=0)
+        assert tvs[1] == pytest.approx(quadpack_tv(10.0, *inputs[1].as_arrays()), rel=1e-8, abs=0)
+
+    def test_slowest_newton_input_matches_quadpack(self):
+        pi = DiscreteInput.from_dict(NEWTON_SLOWEST)
+        ref = quadpack_tv(pi.A, *pi.as_arrays())
+        assert tv_distance(pi) == pytest.approx(ref, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("build, genuine", [
+        (lambda: DiscreteInput.from_dict(NEWTON_SLOWEST), 3),
+        (_light_bump_input, 4),
+        (_three_crossings_input, 6),
+        (lambda: _trapezoid_input(201), 2),
+    ], ids=["newton-slowest", "pair", "three", "work-bound"])
+    def test_roots_lie_within_1e9_of_a_sign_change(self, build, genuine):
+        # Outside rounding noise, g = p - q (the oracles' independent
+        # densities) takes opposite signs 1e-9 either side of each root.
+        # On the K = 201 input only the two roots near +-A are above the
+        # noise: over most of [-A, A], |g| stays below 6e-16 q and its sign
+        # flips at random on the 1e-9 scale.
+        pi = build()
+        A, (locs, ws) = pi.A, pi.as_arrays()
+        roots = _tv_roots(A, locs, ws)
+        lo, hi = (mixture_pdf(locs, ws, roots + s) - uniform_density(A, roots + s)
+                  for s in (-1e-9, 1e-9))
+        floor = 16.0 * np.finfo(float).eps * uniform_density(A, roots)
+        above_noise = np.maximum(np.abs(lo), np.abs(hi)) > floor
+        assert np.count_nonzero(above_noise) == genuine
+        assert np.all(lo[above_noise] * hi[above_noise] <= 0.0)
 
     def test_disjoint_limit(self):
         # a unit Gaussian against a plateau of height 1/(2A): their overlap

@@ -1,8 +1,11 @@
 """README's library example runs, its CLI examples parse, and every exported name resolves."""
 
 import importlib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from acawgn.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 SUBMODULES = ("numerics", "inputs", "solver", "certificates", "scan")
 
 
@@ -46,3 +50,13 @@ def test_every_exported_name_resolves(name):
     for n in module.__all__:
         if hasattr(package, n):
             assert getattr(package, n) is getattr(module, n), n
+
+
+def test_cli_import_skips_scipy_linalg_and_optimize():
+    # a cold `acawgn` command pays for what `import acawgn.cli` loads;
+    # SLSQP imports scipy.optimize when a solve needs it
+    code = ("import sys, acawgn.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "[]"
