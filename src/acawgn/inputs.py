@@ -251,16 +251,20 @@ def _marginal_info_batch(y, lf, pitch, xs, derivatives=0):
     return out
 
 
+def _sampled(A: float, locs, ws):
+    """(y, log f(y), pitch): ``_samples`` of the atoms (locs, ws) at pitch ``_pitch(locs)``."""
+    locs = np.asarray(locs, dtype=float)
+    pitch = _pitch(locs)
+    return *_samples(A, locs, np.asarray(ws, dtype=float), pitch), pitch
+
+
 def _info_stats(A: float, locs: np.ndarray, ws: np.ndarray, xs, derivatives: int = 0):
     """The rows of ``_marginal_info_batch`` at the points ``xs`` for the atoms (locs, ws).
 
-    They come from one set of log f samples at pitch ``_pitch(locs)``.  With
+    They come from one set of log f samples (``_sampled``).  With
     ``xs = locs``, I = sum_j w_j i(x_j) and dI/dx_j = w_j i'(x_j).
     """
-    locs = np.asarray(locs, dtype=float)
-    pitch = _pitch(locs)
-    y, lf = _samples(A, locs, np.asarray(ws, dtype=float), pitch)
-    return _marginal_info_batch(y, lf, pitch, xs, derivatives)
+    return _marginal_info_batch(*_sampled(A, locs, ws), xs, derivatives)
 
 
 def mutual_information(pi: DiscreteInput) -> float:
@@ -306,8 +310,7 @@ def _kkt_scan(pi: DiscreteInput) -> tuple[float, float, float, float]:
     """
     A = pi.A
     locs, ws = pi.as_arrays()
-    h = _pitch(locs)
-    y, lf = _samples(A, locs, ws, h)
+    y, lf, h = _sampled(A, locs, ws)
 
     neg_f_log_f = -np.exp(lf) * lf
     gap = abs(h * neg_f_log_f.sum() - 2.0 * h * neg_f_log_f[::2].sum())

@@ -4,12 +4,9 @@ Computes, for an amplitude ``A``, the optimal discrete input, its support
 size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
 ``|X| <= A``.  Strategy:
 
-- fixed-support optimization (``solve_fixed_k``): one SLSQP call (Kraft,
-  DFVLR-FB 88-28, 1988) over the nonnegative half of a symmetric input (the
-  objective is symmetric): pair locations boxed to [0, A], weights boxed to
-  [0, 1], with total probability one as a linear equality.  SLSQP sees the
-  locations in units of 1/K (diagonal scaling; Nocedal & Wright, Numerical
-  Optimization, 2006);
+- fixed-support optimization (``solve_fixed_k``): one active-set Newton run
+  with the exact Hessian (``_pg_maximize``) over the nonnegative half of a
+  symmetric input: locations in [0, A], nonnegative weights summing to one;
 - support escalation (``solve_capacity``): starting at the ceiling of the
   square-root support lower bound, raise K by 2 until the
   equalization/dominance residuals of the KKT scan pass the declared
@@ -23,14 +20,13 @@ size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
   support.  A first level with more pairs than that input has starts cold.
   Scans pass each certified row on to the next.
 
-The objective, its gradient, condensing, C and both KKT residuals all come
-from the trapezoid rule of ``acawgn.inputs``; the objective sums i and i'
-at the nonnegative atoms only (see ``_objective``).  No adaptive quadrature
+The objective with its derivatives, condensing, C and both KKT residuals
+all come from the trapezoid rule of ``acawgn.inputs``.  No adaptive quadrature
 runs in a solve, and no option sets a quadrature tolerance.  A solve draws
 no random numbers, and it is deterministic at a fixed BLAS thread count:
 OpenBLAS rounds the matrix products of ``acawgn.inputs`` differently when
-it splits them over threads, and SLSQP can carry that rounding along the
-flat directions of an eps-optimal input.  ``OPENBLAS_NUM_THREADS=1``
+it splits them over threads, and the optimizer can carry that rounding
+along the flat directions of an eps-optimal input.  ``OPENBLAS_NUM_THREADS=1``
 reproduces the benchmark's numbers.  ``SolveConfig`` holds only what the
 CLI sets: ``max_k``, ``kkt_eps`` and ``seed``.
 """
@@ -43,10 +39,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .inputs import DiscreteInput, _info_stats, _kkt_scan, mutual_information
-from .numerics import HALF_LOG_2PI_E
-# Unused here, but the benchmark's tracer patches acawgn.solver's binding of
-# it and its test expects the name to exist.
+from .inputs import DiscreteInput, _kkt_scan, _marginal_info_batch, _sampled, mutual_information
+from .numerics import HALF_LOG_2PI_E, LOG_SQRT_2PI
+# Unused here, but the benchmark's tracer patches acawgn.solver's bindings of
+# them and its tests expect the names to exist.
+from .inputs import _info_stats  # noqa: F401
 from .numerics import adaptive_quad_family  # noqa: F401
 
 __all__ = [
@@ -65,10 +62,17 @@ __all__ = [
 _CONDENSE_TOL = 1e-2
 _CONDENSE_INFO_TOL = 1e-9
 
-# SLSQP's maxiter per fixed-K run.  No level has come near it: the largest
-# measured took 300 iterations, over 928 levels of scans and cold solves up
-# to A = 100.
-_MAX_ITERS = 6000
+# The fixed-K Newton method (``_pg_maximize``) has converged once every entry
+# of the reduced gradient is at most _GRAD_TOL.  It cannot judge a gain of
+# _GAIN_TOL: I is about 1 to 4 nats, and its rounding was measured to fail
+# Armijo tests of gains near 1e-16.  It takes at most _MAX_STEPS steps, and
+# its line search asks for _ARMIJO of the linear gain.  _TR_ROUNDS caps the
+# rounds that fit a trust-region step to the radius.
+_GRAD_TOL = 1e-12
+_GAIN_TOL = 1e-15
+_MAX_STEPS = 200
+_ARMIJO = 1e-4
+_TR_ROUNDS = 20
 
 
 def dytso_lower_bound(A: float) -> float:
@@ -115,8 +119,9 @@ class EscalationStep:
     kkt_support: float
     kkt_global: float
     converged: bool
-    opt_iters: int = 0                # SLSQP iterations at this level
-    opt_status: str = ""              # SLSQP's stop message at this level
+    opt_iters: int = 0                # Newton steps at this level
+    opt_status: str = ""              # the Newton run's stop cause
+    opt_evals: int = 0                # its objective evaluations
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -187,8 +192,8 @@ class _Param:
         return c
 
     def bounds(self) -> list[tuple[float, float]]:
-        """Box of each coordinate of the vector (x, v), in order."""
-        return [(0.0, self.A)] * self.x.size + [(0.0, 1.0)] * self.v.size
+        """Box of each coordinate of (x, v); c . v = 1 bounds the weights above."""
+        return [(0.0, self.A)] * self.x.size + [(0.0, math.inf)] * self.v.size
 
     def with_coords(self, z: np.ndarray) -> "_Param":
         return replace(self, x=z[:self.x.size], v=z[self.x.size:])
@@ -206,7 +211,7 @@ def _param_from_input(pi: DiscreteInput, K: int, prefer: float | None = None) ->
 
     At even K a centre mass becomes a coincident pair at 0.  Room for one
     more pair takes a zero-weight pair at +-``prefer``, where the previous
-    level's KKT scan found i(x) > I, so SLSQP starts with an ascent direction.
+    level's KKT scan found i(x) > I, so the first step can ascend there.
     """
     locs, ws = pi.as_arrays()
     has_center = K % 2 == 1
@@ -216,7 +221,8 @@ def _param_from_input(pi: DiscreteInput, K: int, prefer: float | None = None) ->
         # Fold the center mass into a coincident pair at 0.
         x, vp = np.append(x, 0.0), np.append(vp, 0.5 * w0)
     if prefer is not None and x.size < K // 2:
-        x, vp = np.append(x, abs(prefer)), np.append(vp, 0.0)
+        # A pair closer than _CONDENSE_TOL to its mirror starts at 0, as a centre.
+        x, vp = np.append(x, abs(prefer) * (2.0 * abs(prefer) > _CONDENSE_TOL)), np.append(vp, 0.0)
     if x.size != K // 2:
         return None
     order = np.argsort(x)
@@ -224,70 +230,157 @@ def _param_from_input(pi: DiscreteInput, K: int, prefer: float | None = None) ->
     return _Param(pi.A, has_center, x[order], v)
 
 
-def _objective(p: _Param) -> tuple[float, np.ndarray]:
-    """I and its gradient in p's coordinates (x, v), from one trapezoid pass.
+def _objective(p: _Param) -> tuple[float, np.ndarray, np.ndarray]:
+    """I with its gradient and Hessian in p's coordinates (x, v), from one trapezoid pass.
 
-    log f is sampled from ``p.expand()``, but i and i' are summed only at the
-    centre and the pair locations x_j >= 0: i is even and i' odd for a
-    symmetric input.  So I = sum_j c_j v_j i(x_j), with c from
-    ``weight_constraint``, and dI/dx_j = 2 v_j i'(x_j) for a pair.  The
-    weight entries are c_j (i(x_j) - 1 + log(2 pi e)/2), the gradient of
-    h(f) - log(2 pi e)/2, which equals I only on the simplex: they differ
-    from those of the returned I by log(2 pi e)/2 * c, a multiple of the
-    normal of c . v = 1 that SLSQP's multiplier absorbs.  The name is kept
-    because the benchmark's tracer wraps it.
+    The benchmark's tracer wraps this name.  i, i' and i'' are summed at the
+    centre and the pairs x_j >= 0 only (i is even), so I = sum_j c_j v_j i(x_j)
+    (c: ``weight_constraint``) and dI/dx_j = 2 v_j i'(x_j).  The weight
+    entries c_j (i(x_j) - 1 + log(2 pi e)/2) are those of h(f), a multiple of
+    c off I's.  The Hessian -pitch sum_y [f_ab (log f + 1) + f_a f_b / f] is
+    2 v_j i'' and 2 i' on each pair's (x_j, v_j) block plus the Gram matrix
+    of the f_a / sqrt(f).
     """
-    hc = int(p.has_center)
+    hc, m = int(p.has_center), p.x.size
+    y, lf, pitch = _sampled(p.A, *p.expand())
     xs = np.concatenate([[0.0], p.x]) if hc else p.x
-    i, d1 = _info_stats(p.A, *p.expand(), xs, 1)
-    c = p.weight_constraint()
-    gx = 2.0 * p.v[hc:] * d1[hc:]
-    return float((c * p.v) @ i), np.concatenate([gx, c * (i + HALF_LOG_2PI_E - 1.0)])
+    i, d1, d2 = _marginal_info_batch(y, lf, pitch, xs, 2)
+    c, vp = p.weight_constraint(), p.v[hc:]
+    grad = np.concatenate([2.0 * vp * d1[hc:], c * (i + HALF_LOG_2PI_E - 1.0)])
+
+    # phi(y -+ x) / sqrt(f(y)) at the centre and the pairs; the centre's
+    # weight row is phi(y) / sqrt(f), half the sum of the two.
+    a, b = y - xs[:, None], y + xs[:, None]
+    half_lf = 0.5 * lf + LOG_SQRT_2PI
+    pa, pb = np.exp(-0.5 * a * a - half_lf), np.exp(-0.5 * b * b - half_lf)
+    s = np.concatenate([vp[:, None] * (a * pa - b * pb)[hc:], 0.5 * c[:, None] * (pa + pb)])
+    hess = (-pitch) * (s @ s.T)
+    j = np.arange(m)
+    hess[j, j] += 2.0 * vp * d2[hc:]
+    hess[j, j + m + hc] += 2.0 * d1[hc:]
+    hess[j + m + hc, j] += 2.0 * d1[hc:]
+    return float((c * p.v) @ i), grad, hess
 
 
-def _pg_maximize(param: _Param, status: list[str]) -> tuple[_Param, float, bool, int]:
-    """Maximize I over ``param``'s coordinates with one SLSQP call.
+def _free_basis(free: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
+    """Orthonormal basis of the ``free`` coordinates' moves with c . dv = 0 (Householder)."""
+    fx, fw = np.flatnonzero(free[:m]), np.flatnonzero(free[m:])
+    basis = np.zeros((free.size, fx.size + max(fw.size - 1, 0)))
+    basis[fx, np.arange(fx.size)] = 1.0
+    if fw.size > 1:
+        u = c[fw] / np.linalg.norm(c[fw])
+        u[0] += 1.0
+        basis[m + fw, fx.size:] = np.eye(fw.size)[:, 1:] - np.outer(u, u[1:]) / u[0]
+    return basis
 
-    Locations and weights are boxed (see ``_Param.bounds``) and the weights
-    satisfy ``weight_constraint() . v = 1``.  Returns (param, I, converged,
-    iterations), with ``converged`` SLSQP's success flag, and appends its stop
-    message to ``status``.  The name is kept because the benchmark's tracer
-    wraps it and unpacks that 4-tuple.
+
+def _pg_maximize(param: _Param, status: list) -> tuple[_Param, float, bool, int]:
+    """Maximize I over ``param``'s coordinates by an active-set Newton method.
+
+    Weights are rescaled onto ``weight_constraint() . v = 1``.  Each step fixes
+    the coordinates on a bound whose gradient (a weight's, less its
+    least-squares multiple of c) points out and zero-weight pairs' locations,
+    and reduces ``_objective``'s derivatives to ``_free_basis``: Newton with
+    Armijo backtracking where the reduced Hessian is negative definite, else a
+    trust-region step -(H - mu)^-1 g, mu > lambda_max (Nocedal & Wright,
+    Numerical Optimization, 2006, ch. 4 and 16).  Stops "converged" (reduced
+    gradient within _GRAD_TOL), "model gain below rounding", "line search
+    failed", "trust region failed" or "iteration cap", and appends (cause,
+    evaluations) to ``status``.  Returns the tracer's (param, I, converged, steps).
     """
-    # Imported here: at module level scipy.optimize adds about 40% to the
-    # cold import of the CLI.
-    from scipy.optimize import minimize
+    m, c = param.x.size, param.weight_constraint()
+    hi = np.array(param.bounds())[:, 1]   # every lower bound is 0
+    z = np.clip(np.concatenate([param.x, param.v / (c @ param.v)]), 0.0, hi)
+    info, g, hess = _objective(param.with_coords(z))
+    evals, steps, radius, fresh, blind, key = 1, 0, 1.0, True, False, None
+    cause = "iteration cap"
+    while steps < _MAX_STEPS:
+        # A pair on 0 is a centre and stays there.  A pair on A, or a weight
+        # on 0, is held while its gradient points out; so is the location of
+        # a pair of weight 0, which has no curvature.
+        x, gx, gw, pos = z[:m], g[:m], g[m:], z[m:] > 0.0
+        fixed = np.concatenate([(x <= 0.0) | (x >= param.A) & (gx >= 0.0) | ~pos[pos.size - m:],
+                                ~pos & (gw * (c[pos] @ c[pos]) <= c * (c[pos] @ gw[pos]))])
+        if key != fixed.tobytes():
+            key, basis = fixed.tobytes(), _free_basis(~fixed, c, m)
+        gr = basis.T @ g
+        if np.abs(gr).max(initial=0.0) <= _GRAD_TOL:
+            cause = "converged"
+            break
+        while True:
+            hr = basis.T @ hess @ basis
+            lam, q = np.linalg.eigh(hr)
+            qg = q.T @ gr
+            newton = not lam.size or lam[-1] < 0.0
+            shift = -lam
+            if not newton:
+                # mu = lam[-1] + sigma with |d| within 10% of the radius, by
+                # Newton's method on 1/|d(sigma)| from a sigma with
+                # |d| <= radius (Moré & Sorensen, SIAM J. Sci. Stat. Comput.
+                # 4(3), 1983).  sigma + (lam[-1] - lam) >= sigma > 0 keeps d
+                # finite however large lam[-1] is.
+                sigma = math.sqrt(qg @ qg) / radius
+                for _ in range(_TR_ROUNDS):
+                    shift = sigma + (lam[-1] - lam)
+                    coef = qg / shift
+                    norm = math.sqrt(coef @ coef)
+                    if abs(norm - radius) <= 0.1 * radius:
+                        break
+                    step = (norm / radius - 1.0) * norm * norm / (coef @ (coef / shift))
+                    sigma = max(sigma + step, 0.5 * sigma)
+            d = q @ (qg / shift)
+            dz = basis @ d
+            reach = np.divide(np.where(dz < 0.0, -z, hi - z), dz, out=np.full(z.size, np.inf),
+                              where=dz != 0.0)
+            rmin = float(reach.min())
+            if rmin > 0.0:
+                break
+            # A coordinate that the step pushes out at once is fixed, never a
+            # step cut to t = 0.
+            fixed |= reach <= 0.0
+            key, basis = fixed.tobytes(), _free_basis(~fixed, c, m)
+            gr = basis.T @ g
 
-    m = param.x.size
-    c = param.weight_constraint()
-    lo, hi = np.array(param.bounds()).T
-    # SLSQP works in u = z / s.  I's curvature in a location scales with its
-    # atom's weight, about 1/K, while the weight block is O(1); measuring the
-    # locations in units of 1/K balances the two for SLSQP's identity-started
-    # BFGS model.  The weights (and so the equality constraint) are unscaled.
-    s = np.concatenate([np.full(m, float(2 * m + param.has_center)), np.ones(param.v.size)])
-
-    def neg_info(u):
-        info, grad = _objective(param.with_coords(u * s))
-        return -info, -grad * s
-
-    total_one = {
-        "type": "eq",
-        "fun": lambda u: np.dot(c, u[m:]) - 1.0,
-        "jac": lambda u: np.concatenate([np.zeros(m), c]),
-    }
-    res = minimize(
-        neg_info,
-        np.concatenate([param.x, param.v]) / s,
-        jac=True,
-        method="SLSQP",
-        bounds=np.column_stack([lo / s, hi / s]),
-        constraints=[total_one],
-        options={"maxiter": _MAX_ITERS, "ftol": 1e-15},
-    )
-    status.append(str(res.message))
-    z = np.clip(res.x * s, lo, hi)
-    return param.with_coords(z), -float(res.fun), bool(res.success), int(res.nit)
+        t, slope, curv = min(1.0, rmin), float(gr @ d), float(d @ hr @ d)
+        while True:
+            gain = t * slope + 0.5 * t * t * curv
+            cut = t == rmin
+            # I cannot judge a gain below rounding.  A cut step is still taken,
+            # since it only puts a coordinate on its bound, and so is a full
+            # Newton step, though not twice in a row: it takes a reduced
+            # gradient of about 1e-9 to below _GRAD_TOL.
+            unjudged = gain <= _GAIN_TOL
+            if unjudged and not cut and not (newton and fresh and not blind):
+                cause = ("model gain below rounding" if fresh else
+                         "line search failed" if newton else "trust region failed")
+                break
+            z_new = z + t * dz
+            if cut:
+                hit = reach == t
+                z_new[hit] = np.where(dz[hit] < 0.0, 0.0, hi[hit])
+            trial, evals = _objective(param.with_coords(z_new)), evals + 1
+            gained = trial[0] - info
+            if not newton:
+                length = t * math.sqrt(d @ d)
+                if gained < 0.25 * gain:
+                    radius = 0.25 * length
+                elif gained > 0.75 * gain and length >= 0.99 * radius:
+                    radius *= 2.0
+                fresh = unjudged or gained >= 0.1 * gain
+                break
+            fresh = unjudged or gained >= _ARMIJO * t * slope
+            if fresh:
+                break
+            t *= 0.5
+        if cause != "iteration cap":
+            break
+        if fresh:
+            blind = unjudged and not cut
+            z = z_new
+            info, g, hess = trial
+            steps += 1
+    status.append((cause, evals))
+    return param.with_coords(z), info, cause == "converged", steps
 
 
 def solve_fixed_k(
@@ -295,15 +388,15 @@ def solve_fixed_k(
     K: int,
     init: DiscreteInput | None = None,
     violation: float | None = None,
-) -> tuple[DiscreteInput, bool, int, str]:
+) -> tuple[DiscreteInput, bool, int, str, int]:
     """Locally optimal symmetric input with at most K surviving atoms.
 
-    One SLSQP run (see ``_pg_maximize``) from ``init`` with a zero-weight
+    One Newton run (see ``_pg_maximize``) from ``init`` with a zero-weight
     pair at +-``violation`` (see ``_param_from_input``), or else from
     equispaced atoms.  Weights below 1e-9 are pruned and coincident atoms
-    merged.  Returns (input, converged, iterations, status), the last three
-    being SLSQP's success flag, iteration count and stop message; the
-    input's I comes from the caller's ``_kkt_scan``.
+    merged.  Returns (input, converged, iterations, status, evaluations):
+    whether the run converged, its steps, its stop cause and its objective
+    evaluations; the input's I comes from the caller's ``_kkt_scan``.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -315,15 +408,15 @@ def solve_fixed_k(
     if param is None:
         param = _initial_param(A, K)
 
-    status: list[str] = []
-    param, _, converged, iters = _pg_maximize(param, status)
+    stop: list[tuple[str, int]] = []
+    param, _, converged, iters = _pg_maximize(param, stop)
     locs, ws = param.expand()
     pi = DiscreteInput.normalized(A, locs, ws)
     condensed = DiscreteInput.normalized(A, locs, ws, merge_tol=_CONDENSE_TOL)
     if condensed.k < pi.k:
         if mutual_information(condensed) >= mutual_information(pi) - _CONDENSE_INFO_TOL:
             pi = condensed
-    return pi, converged, iters, status[0]
+    return pi, converged, iters, *stop[0]
 
 
 def solve_capacity(
@@ -371,7 +464,7 @@ def solve_capacity(
     k0 = min(k0, max_k)
 
     for K in range(k0, max_k + 1, 2):
-        pi, _, iters, status = solve_fixed_k(A, K, init=pi, violation=violation)
+        pi, _, iters, status, evals = solve_fixed_k(A, K, init=pi, violation=violation)
         r_s, r_g, x_viol, info = _kkt_scan(pi)
         passed = r_s <= cfg.kkt_eps and r_g <= cfg.kkt_eps
         history.append(
@@ -384,6 +477,7 @@ def solve_capacity(
                 converged=passed,
                 opt_iters=iters,
                 opt_status=status,
+                opt_evals=evals,
             )
         )
         if passed or best is None or info > best[1]:

@@ -179,14 +179,14 @@ class TestAcceptance:
         )
 
     def test_criterion_08_gradient_vs_finite_differences(self):
-        # SLSQP's objective: locations as they are, weights in the tangent
+        # the optimizer's objective: locations as they are, weights in the tangent
         # space of c . v = 1 (see _objective)
         rng = np.random.default_rng(808)
         t0 = time.perf_counter()
         worst = 0.0
         for n in range(20):
             p = random_param(rng, has_center=n % 2 == 1)
-            _, grad = _objective(p)
+            _, grad, _ = _objective(p)
             fd = central_differences(lambda z: _objective(p.with_coords(z))[0],
                                      np.concatenate([p.x, p.v]), 1e-5)
             m, c = p.x.size, p.weight_constraint()
@@ -198,7 +198,7 @@ class TestAcceptance:
         ok = elapsed <= 20.0
         assert _report(
             8, ok,
-            f"SLSQP objective's gradient matches central differences on 20 inputs "
+            f"the optimizer objective's gradient matches central differences on 20 inputs "
             f"(worst normalized error {worst:.3f} of budget), {elapsed:.1f}s",
         )
 

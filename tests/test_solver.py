@@ -42,7 +42,7 @@ class TestDytsoLowerBound:
 
 
 class TestInfoGradient:
-    """The gradient SLSQP uses: ``_objective`` in the coordinates (x, v)."""
+    """The gradient and Hessian the optimizer uses: ``_objective`` in the coordinates (x, v)."""
 
     def test_symmetric_input_antisymmetric_location_gradient(self):
         # the full-atom gradient of a symmetric input is antisymmetric in the
@@ -64,7 +64,7 @@ class TestInfoGradient:
             pos, neg = slice(m + hc, None), slice(m - 1, None, -1)
             folded = np.concatenate([d_loc[pos] - d_loc[neg], raw[m:m + hc],
                                      raw[pos] + raw[neg]])
-            got, grad = _objective(p)
+            got, grad, _ = _objective(p)
             # ws @ i_vec is mutual_information's sum (pi's, for the first p)
             assert abs(got - float(ws @ i_vec)) <= 1e-15
             assert grad == pytest.approx(folded, abs=1e-13)
@@ -74,11 +74,11 @@ class TestInfoGradient:
         # it vanishes in the tangent space; the atom pushes outward against
         # its box; a zero-weight centre would lower I (i(0) < I)
         binary = _Param(0.8, False, np.array([0.8]), np.array([0.5]))
-        info, grad = _objective(binary)
+        info, grad, _ = _objective(binary)
         assert grad[0] > 0.0
         assert grad[1] == pytest.approx(2.0 * (info + HALF_LOG_2PI_E - 1.0), abs=1e-12)
         centred = _Param(0.8, True, np.array([0.8]), np.array([0.0, 0.5]))
-        info_c, grad_c = _objective(centred)
+        info_c, grad_c, _ = _objective(centred)
         assert info_c == pytest.approx(info, abs=1e-15)
         assert tangent_part(grad_c[1:], centred.weight_constraint())[0] < 0.0
 
@@ -89,13 +89,38 @@ class TestInfoGradient:
         rng = np.random.default_rng(31)
         for n in range(8):
             p = random_param(rng, has_center=n % 2 == 1)
-            _, grad = _objective(p)
+            _, grad, _ = _objective(p)
             fd = central_differences(lambda z: _objective(p.with_coords(z))[0],
                                      np.concatenate([p.x, p.v]), 1e-5)
             m, c = p.x.size, p.weight_constraint()
             assert np.max(np.abs(grad[:m] - fd[:m])) <= 1e-8
             assert np.max(np.abs(tangent_part(grad[m:] - fd[m:], c))) <= 1e-8
             assert grad[m:] - fd[m:] == pytest.approx(HALF_LOG_2PI_E * c, abs=1e-8)
+
+    def test_hessian_matches_differences_of_the_gradient(self):
+        # the Hessian is the Jacobian of the returned gradient in every
+        # coordinate, weights off the simplex included; positive weights keep
+        # log f away from the log(max(w, 1e-300)) clamp, and gaps below 2
+        # keep the pitch fixed under the differences
+        rng = np.random.default_rng(47)
+        checked, largest = 0, 0.0
+        while checked < 8:
+            p = random_param(rng, has_center=checked % 2 == 1)
+            if np.max(np.diff(p.expand()[0])) >= 2.0 or p.v.min() < 1e-3:
+                continue
+            _, _, hess = _objective(p)
+            z = np.concatenate([p.x, p.v])
+            # the five-point stencil, whose error at step 1e-4 is O(1e-16)
+            # plus rounding near 1e-11
+            fd = np.column_stack([
+                sum(w * _objective(p.with_coords(z + s * 1e-4 * e))[1]
+                    for s, w in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))) / 12e-4
+                for e in np.eye(z.size)
+            ])
+            assert np.max(np.abs(hess - hess.T)) <= 1e-14
+            assert np.max(np.abs(hess - fd)) <= 1e-9
+            checked, largest = checked + 1, max(largest, float(np.max(np.abs(hess))))
+        assert largest >= 1.0
 
 
 class TestSolveFixedK:
@@ -116,6 +141,18 @@ class TestSolveFixedK:
             assert pi.k == 1
             assert abs(mutual_information(pi)) <= 1e-8
 
+    def test_newton_reaches_the_a20_k25_optimum(self):
+        # the exact optimum at A = 20 has 25 atoms (the eps = 1e-6 solve stops
+        # at 23): from that solve's input plus a zero-weight pair at its worst
+        # KKT violation, one K = 25 run reaches C(20) to rounding
+        from acawgn.inputs import _kkt_scan
+
+        pi = solve_capacity(20.0).input
+        assert pi.k == 23
+        out, *_ = solve_fixed_k(20.0, 25, init=pi, violation=_kkt_scan(pi)[2])
+        assert out.k == 25
+        assert abs(mutual_information(out) - 2.364833012118387) <= 1e-12
+
     def test_slsqp_reaches_recorded_a8_optimum(self):
         # the equispaced K = 9 start at A = 8; the value is the certified C(8)
         pi, converged, *_ = solve_fixed_k(8.0, 9)
@@ -124,7 +161,7 @@ class TestSolveFixedK:
         assert abs(mutual_information(pi) - 1.5758716926530236) <= 1e-9
 
     def test_optimizer_output_is_feasible(self):
-        # the raw SLSQP step, before solve_fixed_k renormalizes its weights
+        # the raw optimizer output, before solve_fixed_k renormalizes its weights
         from dataclasses import replace
 
         from acawgn.solver import _initial_param, _pg_maximize
@@ -146,6 +183,29 @@ class TestSolveFixedK:
                 lo, hi = np.array(p.bounds()).T
                 assert np.all((lo <= z) & (z <= hi))
                 assert info > 0.0
+
+    def test_optimizer_steps_stay_finite_from_degenerate_starts(self):
+        # all mass on the centre with zero-weight pairs out to A: the weights'
+        # curvature there reaches 1e19, where lambda_max + sigma rounds to
+        # lambda_max; and a coincident pair at 0 beside a pair on A
+        import warnings
+
+        from acawgn.solver import _pg_maximize
+
+        causes = {"converged", "model gain below rounding", "line search failed",
+                  "trust region failed", "iteration cap"}
+        for p0 in (_Param(9.453558403854089, True, np.array([9.453558403854089, 8.216215105986633,
+                                                             4.6128754081325996]),
+                          np.array([0.06146387974613124, 0.0, 0.0, 0.0])),
+                   _Param(3.0, False, np.array([0.0, 3.0]), np.array([0.3, 0.2]))):
+            stop = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                p, info, _, _ = _pg_maximize(p0, stop)
+            assert stop[0][0] in causes
+            assert abs(np.dot(p.weight_constraint(), p.v) - 1.0) <= 1e-10
+            assert np.all(p.v >= 0.0) and np.all((0.0 <= p.x) & (p.x <= p.A))
+            assert math.isfinite(info) and info >= 0.0
 
     def test_result_is_feasible(self):
         A = 3.0
@@ -216,13 +276,19 @@ class TestSolveCapacity:
         assert rep.capacity_nats >= 0.0
 
     def test_history_records_optimizer_stop(self):
-        rep = solve_capacity(2.0)
-        step = rep.history[-1]
-        assert step.opt_iters >= 1
-        assert "success" in step.opt_status
-        d = step.to_dict()
-        assert d["opt_iters"] == step.opt_iters
-        assert d["opt_status"] == step.opt_status
+        # every level of these solves converges; each step costs at least one
+        # objective evaluation, and the start costs one more
+        causes = {"converged", "model gain below rounding", "line search failed",
+                  "trust region failed", "iteration cap"}
+        for A in (2.0, 8.0):
+            for step in solve_capacity(A).history:
+                assert step.opt_status in causes
+                assert step.opt_status == "converged"
+                assert step.opt_iters >= 1
+                assert step.opt_evals >= step.opt_iters + 1
+                d = step.to_dict()
+                assert (d["opt_iters"], d["opt_status"], d["opt_evals"]) == (
+                    step.opt_iters, step.opt_status, step.opt_evals)
 
     def test_start_sets_first_level(self):
         start = solve_capacity(4.0).input
@@ -276,11 +342,11 @@ class TestSolveCapacity:
         assert rep.converged and len(rep.history) == 3
         assert counts["_samples"] == counts["_objective"] + len(rep.history)
 
-    @pytest.mark.parametrize("A, K, most", [(12.0, 13, 100), (20.0, 23, 300)],
+    @pytest.mark.parametrize("A, K, most", [(12.0, 13, 45), (20.0, 23, 110)],
                              ids=["A12", "A20"])
     def test_cold_solve_iteration_budget(self, A, K, most):
-        # SLSQP measures pair locations in units of 1/K (see _pg_maximize);
-        # in the raw coordinates these solves took 144 and 544 iterations
+        # about 1.5 times the Newton steps these solves take (28 and 74);
+        # SLSQP took 74 and 227, and 144 and 544 before it scaled the locations
         rep = solve_capacity(A)
         assert rep.converged and rep.k == K
         assert sum(h.opt_iters for h in rep.history) <= most
@@ -384,3 +450,20 @@ class TestIndependentCapacityBrackets:
         # I_unif + D(f_unif || f*) <= C + r_global
         div = quadpack_divergence_from_uniform(A, *rep.input.as_arrays())
         assert div <= C + rep.kkt_global - i_unif
+
+
+class TestEqualizationByQuadpack:
+    @pytest.mark.parametrize("A", [8.0, 12.0])
+    def test_every_atom_is_equalized_to_1e10(self, A):
+        # i(x_j) by QUADPACK, not by the trapezoid sums of the solve: the
+        # optimizer's stationary point holds i(x_j) = C on the support to
+        # about 1e-13 (SLSQP stopped 2e-8 away at A = 8)
+        from oracles import log_mixture_pdf, phi, quad_oracle
+
+        rep = solve_capacity(A)
+        assert rep.converged
+        locs, ws = rep.input.as_arrays()
+        for x in locs:
+            integral = quad_oracle(lambda y: phi(y - x) * log_mixture_pdf(locs, ws, y),
+                                   x - 12.0, x + 12.0, points=[x])
+            assert abs(-HALF_LOG_2PI_E - integral - rep.capacity_nats) <= 1e-10

@@ -53,10 +53,18 @@ def test_every_exported_name_resolves(name):
 
 
 def test_cli_import_skips_scipy_linalg_and_optimize():
-    # a cold `acawgn` command pays for what `import acawgn.cli` loads;
-    # SLSQP imports scipy.optimize when a solve needs it
+    # a cold `acawgn` command pays for what `import acawgn.cli` loads
     code = ("import sys, acawgn.cli; "
             "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert out.stdout.strip() == "[]"
+
+
+def test_solve_never_loads_scipy_optimize():
+    # the fixed-K optimizer is the solver's own Newton method
+    code = ("import sys; from acawgn import solve_capacity; "
+            "assert solve_capacity(8.0).converged; print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "False"
