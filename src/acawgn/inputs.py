@@ -113,16 +113,10 @@ class DiscreteInput:
             raise ValueError(f"weights must sum to 1, got {sum(ws)!r}")
 
     @classmethod
-    def normalized(
-        cls,
-        A: float,
-        locations,
-        weights,
-        merge_tol: float = MERGE_TOL,
-    ) -> "DiscreteInput":
+    def normalized(cls, A: float, locations, weights) -> "DiscreteInput":
         """Canonicalize raw atoms: sort, merge near-coincident, prune, renormalize.
 
-        Points closer than ``merge_tol`` are merged into their weighted mean;
+        Points closer than ``MERGE_TOL`` are merged into their weighted mean;
         weights below ``PRUNE_TOL`` (after merging) are dropped; the remaining
         weights are rescaled to sum to exactly one.
         """
@@ -141,7 +135,7 @@ class DiscreteInput:
         out = [[locs[0], ws[0]]]
         for x, w in zip(locs[1:], ws[1:]):
             cur = out[-1]
-            if x - cur[0] <= merge_tol:
+            if x - cur[0] <= MERGE_TOL:
                 tot = cur[1] + w
                 cur[0] = (cur[0] * cur[1] + x * w) / tot if tot > 0 else 0.5 * (cur[0] + x)
                 cur[1] = tot

@@ -6,9 +6,10 @@ size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
 
 - fixed-support optimization (``solve_fixed_k``): one active-set Newton run
   with the exact Hessian (``_pg_maximize``) over the nonnegative half of a
-  symmetric input: locations in [0, A], nonnegative weights summing to one;
-- support escalation (``solve_capacity``): starting at the ceiling of the
-  square-root support lower bound, raise K by 2 until the
+  symmetric input, a centre weight and K // 2 pairs: locations in [0, A],
+  nonnegative weights summing to one;
+- support escalation (``solve_capacity``): starting at the odd ceiling of
+  the square-root support lower bound, raise K by 2 until the
   equalization/dominance residuals of the KKT scan pass the declared
   epsilon.  Each level is one ``solve_fixed_k`` call warm-started from the
   previous level's input, with a zero-weight pair inserted where the scan
@@ -16,11 +17,15 @@ size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
   KKT scan of its result, which also gives the level's I;
 - continuation in A (``solve_capacity(..., start=...)``): the first level
   may instead be warm-started from an input solved at another amplitude,
-  its atoms scaled to the new one, at a K no smaller than that input's
-  support.  A first level with more pairs than that input has starts cold.
-  Scans pass each certified row on to the next.
+  its atoms scaled to the new one, at the first odd K no smaller than that
+  input's support (an even input starts with an empty centre).  A first
+  level with more pairs than that input has starts cold.  Scans pass each
+  certified row on to the next.
 
-The objective with its derivatives, condensing, C and both KKT residuals
+Every level is odd, and its centre's weight may go to 0 (an even support).
+An even ``max_k`` below the first odd level runs with the centre held empty.
+
+The objective with its derivatives, C and both KKT residuals
 all come from the trapezoid rule of ``acawgn.inputs``.  No adaptive quadrature
 runs in a solve, and no option sets a quadrature tolerance.  A solve draws
 no random numbers, and it is deterministic at a fixed BLAS thread count:
@@ -39,11 +44,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .inputs import DiscreteInput, _kkt_scan, _marginal_info_batch, _sampled, mutual_information
+from .inputs import DiscreteInput, _kkt_scan, _marginal_info_batch, _sampled
 from .numerics import HALF_LOG_2PI_E, LOG_SQRT_2PI
 # Unused here, but the benchmark's tracer patches acawgn.solver's bindings of
 # them and its tests expect the names to exist.
-from .inputs import _info_stats  # noqa: F401
+from .inputs import _info_stats, mutual_information  # noqa: F401
 from .numerics import adaptive_quad_family  # noqa: F401
 
 __all__ = [
@@ -54,13 +59,6 @@ __all__ = [
     "solve_fixed_k",
     "solve_capacity",
 ]
-
-# Atoms of a genuinely optimal input sit O(1) apart (unit noise), while an
-# oversized-K run parks surplus atoms within optimizer dust of a true one.
-# Clusters this tight are tried as a single merged atom and kept only when
-# the achieved information is preserved, so the minimal support is reported.
-_CONDENSE_TOL = 1e-2
-_CONDENSE_INFO_TOL = 1e-9
 
 # The fixed-K Newton method (``_pg_maximize``) has converged once every entry
 # of the reduced gradient is at most _GRAD_TOL.  It cannot judge a gain of
@@ -119,9 +117,9 @@ class EscalationStep:
     kkt_support: float
     kkt_global: float
     converged: bool
-    opt_iters: int = 0                # Newton steps at this level
-    opt_status: str = ""              # the Newton run's stop cause
-    opt_evals: int = 0                # its objective evaluations
+    opt_iters: int                    # Newton steps at this level
+    opt_status: str                   # the Newton run's stop cause
+    opt_evals: int                    # its objective evaluations
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -161,39 +159,33 @@ class SolveReport:
 
 
 # ----------------------------------------------------------------------------
-# Internal parametrization: the nonnegative half of a symmetric input (pair
-# locations x in [0, A], pair weights, and a center atom at 0 when K is odd).
+# Internal parametrization: the nonnegative half of a symmetric input, a centre
+# weight and m = K // 2 pairs (locations x in [0, A], weights).
 # ----------------------------------------------------------------------------
 
 
 @dataclass
 class _Param:
-    """Optimizer state: raw coordinate vector plus the shape metadata."""
+    """Optimizer state: raw coordinate vector plus the centre weight's cap."""
 
     A: float
-    has_center: bool      # atom pinned at 0
-    x: np.ndarray         # (m,) pair locations in [0, A]
-    v: np.ndarray         # (m + has_center,) weights, center first
+    x: np.ndarray                 # (m,) pair locations in [0, A]
+    v: np.ndarray                 # (m + 1,) weights, centre first
+    centre_max: float = math.inf  # 0 at even K, which holds the centre empty
 
     def expand(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full atom arrays (possibly with coincident points near 0)."""
-        pairs_w = self.v[1:] if self.has_center else self.v
-        locs = np.concatenate([-self.x[::-1], [0.0] if self.has_center else [], self.x])
-        ws = np.concatenate(
-            [pairs_w[::-1], [self.v[0]] if self.has_center else [], pairs_w]
-        )
-        return locs, ws
+        """Full atom arrays: the pairs mirrored about the centre (possibly coincident near 0)."""
+        x, v = self.x, self.v
+        return np.concatenate([-x[::-1], [0.0], x]), np.concatenate([v[:0:-1], v])
 
     def weight_constraint(self) -> np.ndarray:
         """c such that c . v = 1 reflects total probability one."""
-        c = np.full(self.v.size, 2.0)
-        if self.has_center:
-            c[0] = 1.0
-        return c
+        return np.concatenate([[1.0], np.full(self.x.size, 2.0)])
 
-    def bounds(self) -> list[tuple[float, float]]:
-        """Box of each coordinate of (x, v); c . v = 1 bounds the weights above."""
-        return [(0.0, self.A)] * self.x.size + [(0.0, math.inf)] * self.v.size
+    def upper(self) -> np.ndarray:
+        """Upper bound of each coordinate of (x, v); every lower bound is 0."""
+        m = self.x.size
+        return np.concatenate([np.full(m, self.A), [self.centre_max], np.full(m, math.inf)])
 
     def with_coords(self, z: np.ndarray) -> "_Param":
         return replace(self, x=z[:self.x.size], v=z[self.x.size:])
@@ -201,33 +193,25 @@ class _Param:
 
 def _initial_param(A: float, K: int) -> _Param:
     """Equispaced atoms on [-A, A] with uniform weights."""
-    full = np.linspace(-A, A, K) if K > 1 else np.array([0.0])
-    x = full[full > 1e-12]
-    return _Param(A, K % 2 == 1, x, np.full(x.size + K % 2, 1.0 / K))
+    locs = np.linspace(-A, A, K) if K > 1 else np.zeros(1)
+    return _param_from_atoms(A, K, locs, np.full(K, 1.0 / K))
 
 
-def _param_from_input(pi: DiscreteInput, K: int, prefer: float | None = None) -> _Param | None:
-    """Embed a solved symmetric input as a warm start at K; None if it does not fill K.
+def _param_from_atoms(A: float, K: int, locs, ws, prefer: float | None = None) -> _Param | None:
+    """Symmetric atoms' nonnegative half as a start at level K; None if it does not fill K.
 
-    At even K a centre mass becomes a coincident pair at 0.  Room for one
-    more pair takes a zero-weight pair at +-``prefer``, where the previous
-    level's KKT scan found i(x) > I, so the first step can ascend there.
+    Room for one more pair takes a zero-weight pair at +-``prefer``, where the
+    previous level's KKT scan found i(x) > I, so the first step can ascend
+    there.  Only an odd K lets the centre's weight leave 0.
     """
-    locs, ws = pi.as_arrays()
-    has_center = K % 2 == 1
     x, vp = locs[locs > 1e-12], ws[locs > 1e-12]
-    w0 = float(ws[np.abs(locs) <= 1e-12].sum())
-    if w0 > 0.0 and not has_center:
-        # Fold the center mass into a coincident pair at 0.
-        x, vp = np.append(x, 0.0), np.append(vp, 0.5 * w0)
     if prefer is not None and x.size < K // 2:
-        # A pair closer than _CONDENSE_TOL to its mirror starts at 0, as a centre.
-        x, vp = np.append(x, abs(prefer) * (2.0 * abs(prefer) > _CONDENSE_TOL)), np.append(vp, 0.0)
+        x, vp = np.append(x, abs(prefer)), np.append(vp, 0.0)
     if x.size != K // 2:
         return None
     order = np.argsort(x)
-    v = np.concatenate([[w0], vp[order]]) if has_center else vp[order]
-    return _Param(pi.A, has_center, x[order], v)
+    v = np.concatenate([[ws[np.abs(locs) <= 1e-12].sum()], vp[order]])
+    return _Param(A, x[order], v, math.inf if K % 2 else 0.0)
 
 
 def _objective(p: _Param) -> tuple[float, np.ndarray, np.ndarray]:
@@ -241,24 +225,23 @@ def _objective(p: _Param) -> tuple[float, np.ndarray, np.ndarray]:
     2 v_j i'' and 2 i' on each pair's (x_j, v_j) block plus the Gram matrix
     of the f_a / sqrt(f).
     """
-    hc, m = int(p.has_center), p.x.size
+    m, xs = p.x.size, np.concatenate([[0.0], p.x])
     y, lf, pitch = _sampled(p.A, *p.expand())
-    xs = np.concatenate([[0.0], p.x]) if hc else p.x
     i, d1, d2 = _marginal_info_batch(y, lf, pitch, xs, 2)
-    c, vp = p.weight_constraint(), p.v[hc:]
-    grad = np.concatenate([2.0 * vp * d1[hc:], c * (i + HALF_LOG_2PI_E - 1.0)])
+    c, vp, d1p = p.weight_constraint(), p.v[1:], d1[1:]
+    grad = np.concatenate([2.0 * vp * d1p, c * (i + HALF_LOG_2PI_E - 1.0)])
 
     # phi(y -+ x) / sqrt(f(y)) at the centre and the pairs; the centre's
     # weight row is phi(y) / sqrt(f), half the sum of the two.
     a, b = y - xs[:, None], y + xs[:, None]
     half_lf = 0.5 * lf + LOG_SQRT_2PI
     pa, pb = np.exp(-0.5 * a * a - half_lf), np.exp(-0.5 * b * b - half_lf)
-    s = np.concatenate([vp[:, None] * (a * pa - b * pb)[hc:], 0.5 * c[:, None] * (pa + pb)])
+    s = np.concatenate([vp[:, None] * (a * pa - b * pb)[1:], 0.5 * c[:, None] * (pa + pb)])
     hess = (-pitch) * (s @ s.T)
     j = np.arange(m)
-    hess[j, j] += 2.0 * vp * d2[hc:]
-    hess[j, j + m + hc] += 2.0 * d1[hc:]
-    hess[j + m + hc, j] += 2.0 * d1[hc:]
+    hess[j, j] += 2.0 * vp * d2[1:]
+    hess[j, j + m + 1] += 2.0 * d1p
+    hess[j + m + 1, j] += 2.0 * d1p
     return float((c * p.v) @ i), grad, hess
 
 
@@ -277,30 +260,33 @@ def _free_basis(free: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
 def _pg_maximize(param: _Param, status: list) -> tuple[_Param, float, bool, int]:
     """Maximize I over ``param``'s coordinates by an active-set Newton method.
 
-    Weights are rescaled onto ``weight_constraint() . v = 1``.  Each step fixes
-    the coordinates on a bound whose gradient (a weight's, less its
-    least-squares multiple of c) points out and zero-weight pairs' locations,
-    and reduces ``_objective``'s derivatives to ``_free_basis``: Newton with
-    Armijo backtracking where the reduced Hessian is negative definite, else a
-    trust-region step -(H - mu)^-1 g, mu > lambda_max (Nocedal & Wright,
-    Numerical Optimization, 2006, ch. 4 and 16).  Stops "converged" (reduced
-    gradient within _GRAD_TOL), "model gain below rounding", "line search
-    failed", "trust region failed" or "iteration cap", and appends (cause,
-    evaluations) to ``status``.  Returns the tracer's (param, I, converged, steps).
+    Weights are clipped to ``upper()`` and rescaled onto ``weight_constraint()
+    . v = 1``.  Each step fixes the coordinates on a bound whose gradient (a
+    weight's, less its least-squares multiple of c) points out and zero-weight
+    pairs' locations, and reduces ``_objective``'s derivatives to
+    ``_free_basis``: Newton with Armijo backtracking where the reduced Hessian
+    is negative definite, else a trust-region step -(H - mu)^-1 g,
+    mu > lambda_max (Nocedal & Wright, Numerical Optimization, 2006, ch. 4
+    and 16).  Stops "converged" (reduced gradient within _GRAD_TOL), "model
+    gain below rounding", "line search failed", "trust region failed" or
+    "iteration cap", and appends (cause, evaluations) to ``status``.  Returns
+    the tracer's (param, I, converged, steps).
     """
-    m, c = param.x.size, param.weight_constraint()
-    hi = np.array(param.bounds())[:, 1]   # every lower bound is 0
-    z = np.clip(np.concatenate([param.x, param.v / (c @ param.v)]), 0.0, hi)
+    m, c, hi = param.x.size, param.weight_constraint(), param.upper()
+    v = np.minimum(param.v, hi[m:])
+    z = np.clip(np.concatenate([param.x, v / (c @ v)]), 0.0, hi)
     info, g, hess = _objective(param.with_coords(z))
     evals, steps, radius, fresh, blind, key = 1, 0, 1.0, True, False, None
     cause = "iteration cap"
     while steps < _MAX_STEPS:
-        # A pair on 0 is a centre and stays there.  A pair on A, or a weight
-        # on 0, is held while its gradient points out; so is the location of
-        # a pair of weight 0, which has no curvature.
+        # A pair on 0 joins the centre and stays there.  A pair on A, or a
+        # weight on 0, is held while its gradient points out; so are the
+        # location of a pair of weight 0, which has no curvature, and an
+        # even level's centre weight, capped at 0.
         x, gx, gw, pos = z[:m], g[:m], g[m:], z[m:] > 0.0
-        fixed = np.concatenate([(x <= 0.0) | (x >= param.A) & (gx >= 0.0) | ~pos[pos.size - m:],
-                                ~pos & (gw * (c[pos] @ c[pos]) <= c * (c[pos] @ gw[pos]))])
+        fixed = np.concatenate([(x <= 0.0) | (x >= param.A) & (gx >= 0.0) | ~pos[1:],
+                                ~pos & (gw * (c[pos] @ c[pos]) <= c * (c[pos] @ gw[pos]))
+                                | (hi[m:] <= 0.0)])
         if key != fixed.tobytes():
             key, basis = fixed.tobytes(), _free_basis(~fixed, c, m)
         gr = basis.T @ g
@@ -391,32 +377,28 @@ def solve_fixed_k(
 ) -> tuple[DiscreteInput, bool, int, str, int]:
     """Locally optimal symmetric input with at most K surviving atoms.
 
-    One Newton run (see ``_pg_maximize``) from ``init`` with a zero-weight
-    pair at +-``violation`` (see ``_param_from_input``), or else from
-    equispaced atoms.  Weights below 1e-9 are pruned and coincident atoms
-    merged.  Returns (input, converged, iterations, status, evaluations):
-    whether the run converged, its steps, its stop cause and its objective
-    evaluations; the input's I comes from the caller's ``_kkt_scan``.
+    One Newton run (see ``_pg_maximize``) over a centre weight and K // 2
+    pairs, from ``init`` (an input at A) with a zero-weight pair at
+    +-``violation`` (see ``_param_from_atoms``), or else from equispaced
+    atoms.  Only an odd K lets the centre's weight leave 0.  Weights below
+    1e-9, an emptied centre among them, are pruned.  Returns (input,
+    converged, iterations, status, evaluations): whether the run converged,
+    its steps, its stop cause and its objective evaluations; the input's I
+    comes from the caller's ``_kkt_scan``.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if not (A > 0.0 and math.isfinite(A)):
         raise ValueError(f"amplitude must be positive and finite, got {A}")
-    param = None
-    if init is not None:
-        param = _param_from_input(init, K, prefer=violation)
+    if init is not None and init.A != A:
+        raise ValueError(f"init is an input at A = {init.A}, not at {A}")
+    param = None if init is None else _param_from_atoms(A, K, *init.as_arrays(), prefer=violation)
     if param is None:
         param = _initial_param(A, K)
 
     stop: list[tuple[str, int]] = []
     param, _, converged, iters = _pg_maximize(param, stop)
-    locs, ws = param.expand()
-    pi = DiscreteInput.normalized(A, locs, ws)
-    condensed = DiscreteInput.normalized(A, locs, ws, merge_tol=_CONDENSE_TOL)
-    if condensed.k < pi.k:
-        if mutual_information(condensed) >= mutual_information(pi) - _CONDENSE_INFO_TOL:
-            pi = condensed
-    return pi, converged, iters, *stop[0]
+    return DiscreteInput.normalized(A, *param.expand()), converged, iters, *stop[0]
 
 
 def solve_capacity(
@@ -429,16 +411,16 @@ def solve_capacity(
 
     Runs one ``solve_fixed_k`` per level K = K0, K0+2, ... <= the cap
     (``SolveConfig.max_k_for``) until both KKT residuals pass
-    ``config.kkt_eps``.  K0 is the odd ceiling of ``dytso_lower_bound(A)``.
-    Without ``start`` the first level starts from equispaced atoms.  With
-    ``start``, an input solved at another amplitude (continuation in A), K0
-    is raised to at least ``start.k`` and the first level starts from
-    ``start``'s atoms scaled by ``A / start.A`` when they fill it, and from
-    equispaced atoms otherwise.  Each later level is warm-started from the
-    previous level's input plus a zero-weight pair at +-x, where x is the
-    previous level's worst violation of i(x) <= I.  A level's I and
-    residuals come from one ``_kkt_scan``.  Reaching the cap without
-    certification returns the best level flagged unconverged.
+    ``config.kkt_eps``.  K0 is the first odd K at or above the ceiling of
+    ``dytso_lower_bound(A)`` and ``start.k``, capped at the cap.  Without
+    ``start`` the first level starts from equispaced atoms.  With ``start``,
+    an input solved at another amplitude (continuation in A), the first
+    level starts from ``start``'s atoms scaled by ``A / start.A`` when they
+    fill it, and from equispaced atoms otherwise.  Each later level is
+    warm-started from the previous level's input plus a zero-weight pair at
+    +-x, where x is the previous level's worst violation of i(x) <= I.  A
+    level's I and residuals come from one ``_kkt_scan``.  Reaching the cap
+    without certification returns the best level flagged unconverged.
     """
     if not (A > 0.0 and math.isfinite(A)):
         raise ValueError(f"amplitude must be positive and finite, got {A}")
@@ -446,13 +428,6 @@ def solve_capacity(
     max_k = cfg.max_k_for(A)
     t0 = time.perf_counter()
     k0 = max(1, math.ceil(dytso_lower_bound(A) - 1e-12))
-    # Walk odd K only: a center-plus-pairs support can express either
-    # parity (the center weight just goes to zero when the optimum is
-    # even), whereas an even-K run facing an odd optimum must crawl a
-    # pair of atoms together through a nearly flat direction.
-    if k0 % 2 == 0:
-        k0 += 1
-
     history: list[EscalationStep] = []
     best = None   # (pi, info, r_s, r_g) of the level reported
     pi: DiscreteInput | None = None
@@ -461,7 +436,11 @@ def solve_capacity(
         locs, ws = start.as_arrays()
         pi = DiscreteInput.normalized(A, locs * A / start.A, ws)
         k0 = max(k0, start.k)
-    k0 = min(k0, max_k)
+    # Walk odd K only: a centre plus pairs expresses either parity (the
+    # centre's weight goes to 0 when the optimum is even), whereas an even-K
+    # run facing an odd optimum must crawl a pair of atoms together through
+    # a nearly flat direction.
+    k0 = min(k0 + 1 - k0 % 2, max_k)
 
     for K in range(k0, max_k + 1, 2):
         pi, _, iters, status, evals = solve_fixed_k(A, K, init=pi, violation=violation)

@@ -262,6 +262,21 @@ def mc_mutual_information(locations, weights, n_samples: int, seed: int) -> tupl
     return est, se
 
 
+def mpmath_binary_information(A: float, dps: int = 30):
+    """I(X;Y) of the binary input +-A with equal weights, by ``mpmath.quad`` at ``dps`` digits.
+
+    phi(y - A) / f(y) = 2 / (1 + exp(-2 A y)), so I = log 2 - E log(1 + exp(-2 A Y))
+    with Y ~ N(A, 1).  Returns an ``mpmath.mpf``.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(A)
+        return mpmath.log(2) - mpmath.quad(
+            lambda y: mpmath.npdf(y, a, 1) * mpmath.log1p(mpmath.exp(-2 * a * y)),
+            [-mpmath.inf, a, mpmath.inf])
+
+
 def central_differences(fun, z, h: float) -> np.ndarray:
     """(fun(z + h e_i) - fun(z - h e_i)) / (2h) for every coordinate i of ``z``."""
     out = np.empty(z.size)
@@ -277,11 +292,12 @@ def tangent_part(g, c) -> np.ndarray:
     return g - c * (c @ g) / (c @ c)
 
 
-def random_param(rng, has_center: bool):
+def random_param(rng):
     """A random symmetric optimizer state (``acawgn.solver._Param``) at A in [0.8, 4].
 
-    One or two pairs at least 0.05 apart from each other and from their
-    mirror images, and weights with total probability one.
+    A centre and one or two pairs at least 0.05 apart from each other and
+    from their mirror images, and positive weights with total probability
+    one.
     """
     from acawgn.solver import _Param
 
@@ -290,9 +306,9 @@ def random_param(rng, has_center: bool):
     x = np.sort(rng.uniform(0.05 * A, 0.9 * A, m))
     while np.min(np.diff(x), initial=1.0) < 0.05 or x[0] < 0.05:
         x = np.sort(rng.uniform(0.05 * A, 0.9 * A, m))
-    c = np.full(m + has_center, 2.0)
-    c[:has_center] = 1.0
-    return _Param(A, has_center, x, rng.dirichlet(np.full(c.size, 2.0)) / c)
+    c = np.full(m + 1, 2.0)
+    c[0] = 1.0
+    return _Param(A, x, rng.dirichlet(np.full(c.size, 2.0)) / c)
 
 
 def _grid_sup(info_at, A):

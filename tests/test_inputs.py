@@ -20,6 +20,7 @@ from oracles import (
     every_window_kkt_scan,
     log_mixture_pdf,
     mc_mutual_information,
+    mpmath_binary_information,
     quad_oracle,
     quad_vec_kkt_residual,
 )
@@ -62,7 +63,7 @@ class TestDiscreteInput:
         assert pi.locations[0] == pytest.approx(-1.0)
         assert pi.locations[1] == pytest.approx(0.5, abs=1e-7)
         assert sum(pi.weights) == pytest.approx(1.0, abs=1e-15)
-        # Atoms beyond A more than merge_tol apart clip to the same end point,
+        # Atoms beyond A more than MERGE_TOL apart clip to the same end point,
         # so they merge.
         pi = DiscreteInput.normalized(1.0, [0.0, 1.0 + 1e-9, 1.0 + 2e-6], [0.2, 0.4, 0.4])
         assert pi.locations == (0.0, 1.0)
@@ -129,6 +130,14 @@ class TestMutualInformation:
         exact = mutual_information(pi)
         est, se = mc_mutual_information(pi.locations, pi.weights, 10_000_000, seed=42)
         assert abs(exact - est) <= 3 * se
+
+    def test_binary_matches_a_30_digit_oracle(self):
+        # mpmath at 30 digits gives 0.244473408900108357017973246443 at the
+        # double nearest 0.8 (2.1e-17 more than at the decimal 0.8); the
+        # trapezoid sum agrees to 8.3e-17
+        pytest.importorskip("mpmath")
+        pi = DiscreteInput(A=0.8, locations=(-0.8, 0.8), weights=(0.5, 0.5))
+        assert abs(mutual_information(pi) - float(mpmath_binary_information(0.8))) <= 1e-15
 
     def test_upper_bounds(self):
         for _ in range(5):

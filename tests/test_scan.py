@@ -232,7 +232,7 @@ class TestContinuation:
 
         records, reports = self._patched_scan(monkeypatch, fake_row)
         assert [r.status for r in records] == ["ok", "unconverged", "ok"]
-        assert reports[1].history[0].k_tried == reports[0].k
+        assert reports[1].history[0].k_tried == 5   # odd, above A = 4's K = 4
         assert reports[1].k > _cold_k0(4.5)
         assert reports[2].history[0].k_tried == _cold_k0(4.5)
 

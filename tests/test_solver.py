@@ -48,21 +48,21 @@ class TestInfoGradient:
         # the full-atom gradient of a symmetric input is antisymmetric in the
         # locations and symmetric in the weights; _objective sums i and i' at
         # the centre and the pairs x_j >= 0 only, and must equal the full
-        # rows folded onto (x, v): centred, uncentred, and with a pair at 0
+        # rows folded onto (x, v): one pair, two, and a pair at 0
         pi = DiscreteInput(A=2.0, locations=(-1.5, 0.0, 1.5), weights=(0.3, 0.4, 0.3))
         i_vec, d1 = _info_stats(pi.A, *pi.as_arrays(), pi.locations, 1)
         assert d1[0] == pytest.approx(-d1[2], abs=1e-10)
         assert abs(d1[1]) <= 1e-10
         assert i_vec[0] == pytest.approx(i_vec[2], abs=1e-10)
-        for p in (_Param(2.0, True, np.array([1.5]), np.array([0.4, 0.3])),
-                  _Param(3.0, False, np.array([0.7, 2.6]), np.array([0.3, 0.2])),
-                  _Param(3.0, False, np.array([0.0, 2.2]), np.array([0.15, 0.35]))):
+        for p in (_Param(2.0, np.array([1.5]), np.array([0.4, 0.3])),
+                  _Param(3.0, np.array([0.7, 2.6]), np.array([0.2, 0.2, 0.2])),
+                  _Param(3.0, np.array([0.0, 2.2]), np.array([0.1, 0.15, 0.3]))):
             locs, ws = p.expand()
             i_vec, d1 = _info_stats(p.A, locs, ws, locs, 1)
             raw, d_loc = i_vec + HALF_LOG_2PI_E - 1.0, ws * d1
-            m, hc = p.x.size, int(p.has_center)
-            pos, neg = slice(m + hc, None), slice(m - 1, None, -1)
-            folded = np.concatenate([d_loc[pos] - d_loc[neg], raw[m:m + hc],
+            m = p.x.size
+            pos, neg = slice(m + 1, None), slice(m - 1, None, -1)
+            folded = np.concatenate([d_loc[pos] - d_loc[neg], raw[m:m + 1],
                                      raw[pos] + raw[neg]])
             got, grad, _ = _objective(p)
             # ws @ i_vec is mutual_information's sum (pi's, for the first p)
@@ -70,25 +70,25 @@ class TestInfoGradient:
             assert grad == pytest.approx(folded, abs=1e-13)
 
     def test_optimal_binary_gradient_vanishes(self):
-        # binary +-0.8 is optimal: the weight gradient is a multiple of c, so
-        # it vanishes in the tangent space; the atom pushes outward against
-        # its box; a zero-weight centre would lower I (i(0) < I)
-        binary = _Param(0.8, False, np.array([0.8]), np.array([0.5]))
+        # binary +-0.8 is optimal: the pair's weight gradient is that of I
+        # itself, a multiple of c, so it vanishes in the tangent space; the
+        # atom pushes outward against its box; the empty centre would lower
+        # I (i(0) < I)
+        binary = _Param(0.8, np.array([0.8]), np.array([0.0, 0.5]))
         info, grad, _ = _objective(binary)
+        pi = DiscreteInput(A=0.8, locations=(-0.8, 0.8), weights=(0.5, 0.5))
+        assert info == pytest.approx(mutual_information(pi), abs=1e-15)
         assert grad[0] > 0.0
-        assert grad[1] == pytest.approx(2.0 * (info + HALF_LOG_2PI_E - 1.0), abs=1e-12)
-        centred = _Param(0.8, True, np.array([0.8]), np.array([0.0, 0.5]))
-        info_c, grad_c, _ = _objective(centred)
-        assert info_c == pytest.approx(info, abs=1e-15)
-        assert tangent_part(grad_c[1:], centred.weight_constraint())[0] < 0.0
+        assert grad[2] == pytest.approx(2.0 * (info + HALF_LOG_2PI_E - 1.0), abs=1e-12)
+        assert tangent_part(grad[1:], binary.weight_constraint())[0] < 0.0
 
     def test_finite_difference_agreement(self):
         # locations as they are; weights in the tangent space of c . v = 1,
         # where the objective's raw partials and the finite differences of the
-        # returned I differ by log(2 pi e)/2 * c; with a centre atom and without
+        # returned I differ by log(2 pi e)/2 * c
         rng = np.random.default_rng(31)
-        for n in range(8):
-            p = random_param(rng, has_center=n % 2 == 1)
+        for _ in range(8):
+            p = random_param(rng)
             _, grad, _ = _objective(p)
             fd = central_differences(lambda z: _objective(p.with_coords(z))[0],
                                      np.concatenate([p.x, p.v]), 1e-5)
@@ -105,7 +105,7 @@ class TestInfoGradient:
         rng = np.random.default_rng(47)
         checked, largest = 0, 0.0
         while checked < 8:
-            p = random_param(rng, has_center=checked % 2 == 1)
+            p = random_param(rng)
             if np.max(np.diff(p.expand()[0])) >= 2.0 or p.v.min() < 1e-3:
                 continue
             _, _, hess = _objective(p)
@@ -131,9 +131,11 @@ class TestSolveFixedK:
         assert pi.weights == pytest.approx((0.5, 0.5), abs=1e-7)
 
     def test_k3_collapses_to_binary(self):
+        # the centre's weight goes to 0 and the emptied centre is pruned
         pi2, *_ = solve_fixed_k(0.8, 2)
         pi3, *_ = solve_fixed_k(0.8, 3)
-        assert pi3.k == 2 or abs(mutual_information(pi3) - mutual_information(pi2)) <= 1e-7
+        assert pi3.k == 2
+        assert abs(mutual_information(pi3) - mutual_information(pi2)) <= 1e-15
 
     def test_single_point_carries_nothing(self):
         for A in (0.5, 3.0):
@@ -153,7 +155,7 @@ class TestSolveFixedK:
         assert out.k == 25
         assert abs(mutual_information(out) - 2.364833012118387) <= 1e-12
 
-    def test_slsqp_reaches_recorded_a8_optimum(self):
+    def test_newton_reaches_recorded_a8_optimum(self):
         # the equispaced K = 9 start at A = 8; the value is the certified C(8)
         pi, converged, *_ = solve_fixed_k(8.0, 9)
         assert converged
@@ -170,34 +172,32 @@ class TestSolveFixedK:
         rng = np.random.default_rng(5)
         for K in (4, 5):
             start = _initial_param(A, K)
-            (lo_x, hi_x) = start.bounds()[0]
             perturbed = replace(
                 start,
-                x=np.clip(start.x + rng.uniform(-0.3, 0.3, start.x.shape), lo_x, hi_x),
+                x=np.clip(start.x + rng.uniform(-0.3, 0.3, start.x.shape), 0.0, A),
                 v=start.v * rng.uniform(0.5, 1.5, start.v.shape),
             )
             for p0 in (start, perturbed):
                 p, info, _, _ = _pg_maximize(p0, [])
                 assert abs(np.dot(p.weight_constraint(), p.v) - 1.0) <= 1e-10
                 z = np.concatenate([p.x, p.v])
-                lo, hi = np.array(p.bounds()).T
-                assert np.all((lo <= z) & (z <= hi))
+                assert np.all((0.0 <= z) & (z <= p.upper()))
                 assert info > 0.0
 
     def test_optimizer_steps_stay_finite_from_degenerate_starts(self):
         # all mass on the centre with zero-weight pairs out to A: the weights'
         # curvature there reaches 1e19, where lambda_max + sigma rounds to
-        # lambda_max; and a coincident pair at 0 beside a pair on A
+        # lambda_max; and a pair at 0 on the empty centre beside a pair on A
         import warnings
 
         from acawgn.solver import _pg_maximize
 
         causes = {"converged", "model gain below rounding", "line search failed",
                   "trust region failed", "iteration cap"}
-        for p0 in (_Param(9.453558403854089, True, np.array([9.453558403854089, 8.216215105986633,
-                                                             4.6128754081325996]),
+        for p0 in (_Param(9.453558403854089, np.array([9.453558403854089, 8.216215105986633,
+                                                       4.6128754081325996]),
                           np.array([0.06146387974613124, 0.0, 0.0, 0.0])),
-                   _Param(3.0, False, np.array([0.0, 3.0]), np.array([0.3, 0.2]))):
+                   _Param(3.0, np.array([0.0, 3.0]), np.array([0.0, 0.3, 0.2]))):
             stop = []
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -210,14 +210,25 @@ class TestSolveFixedK:
     def test_result_is_feasible(self):
         A = 3.0
         binary = DiscreteInput(A=A, locations=(-A, A), weights=(0.5, 0.5))
-        # the equispaced start, and a warm start padded with a zero-weight pair
-        for K, init in ((4, None), (5, binary)):
+        centred = DiscreteInput(A=A, locations=(-A, 0.0, A), weights=(0.4, 0.2, 0.4))
+        # the equispaced start, a warm start padded with a zero-weight pair,
+        # and a centre mass at even K, which the capped centre weight drops
+        for K, init in ((4, None), (5, binary), (2, centred)):
             pi, *_ = solve_fixed_k(A, K, init=init, violation=1.0)
+            assert pi.k <= K
             locs, ws = pi.as_arrays()
             assert np.all(np.abs(locs) <= A)
             assert np.all(ws >= 0.0)
             assert ws.sum() == pytest.approx(1.0, abs=1e-12)
             assert mutual_information(pi) > 0.0
+
+    def test_rejects_an_input_at_another_amplitude(self):
+        # optimized on its own box [0, 5] and then clipped to [-3, 3], an A = 5
+        # input would lose I (0.83698 against a cold run's 0.88136)
+        at5 = solve_capacity(5.0).input
+        with pytest.raises(ValueError):
+            solve_fixed_k(3.0, 5, init=at5)
+        assert solve_fixed_k(5.0, 5, init=at5)[0].A == 5.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -294,7 +305,7 @@ class TestSolveCapacity:
         start = solve_capacity(4.0).input
         assert start.k == 4
         rep = solve_capacity(5.0, start=start)
-        assert rep.history[0].k_tried == 4      # the cold solve starts at 3
+        assert rep.history[0].k_tried == 5      # odd; the cold solve starts at 3
         assert rep.converged and rep.k == solve_capacity(5.0).k
         capped = solve_capacity(5.0, SolveConfig(max_k=3), start=start)
         assert capped.history[0].k_tried == 3
@@ -303,6 +314,15 @@ class TestSolveCapacity:
         rep = solve_capacity(5.0, SolveConfig(max_k=3))
         assert not rep.converged
         assert [h.k_tried for h in rep.history] == [3]
+        # an even cap below the first odd level runs one even level, whose
+        # centre stays empty, so the cap bounds the support
+        for A, C in ((3.0, 0.6892979330290776), (5.0, 0.6931463173939845)):
+            rep = solve_capacity(A, SolveConfig(max_k=2))
+            assert not rep.converged
+            assert [h.k_tried for h in rep.history] == [2]
+            assert rep.k == 2 and rep.capacity_nats == C
+        rep = solve_capacity(0.8, SolveConfig(max_k=2))
+        assert rep.converged and rep.k == 2
 
     def test_start_smaller_than_first_level(self):
         # the A = 1 input is one pair; scaled to A = 10 it leaves the first
@@ -319,7 +339,7 @@ class TestSolveCapacity:
         assert rep.input == cold.input
         assert rep.capacity_nats == cold.capacity_nats
 
-    def test_each_level_samples_log_f_once_after_slsqp(self, monkeypatch):
+    def test_each_level_samples_log_f_once(self, monkeypatch):
         # log f is sampled once per objective call and once per level, by the
         # level's KKT scan, which also gives the level's I
         import acawgn.inputs as inputs
@@ -345,8 +365,7 @@ class TestSolveCapacity:
     @pytest.mark.parametrize("A, K, most", [(12.0, 13, 45), (20.0, 23, 110)],
                              ids=["A12", "A20"])
     def test_cold_solve_iteration_budget(self, A, K, most):
-        # about 1.5 times the Newton steps these solves take (28 and 74);
-        # SLSQP took 74 and 227, and 144 and 544 before it scaled the locations
+        # about 1.5 times the Newton steps these solves take (28 and 74)
         rep = solve_capacity(A)
         assert rep.converged and rep.k == K
         assert sum(h.opt_iters for h in rep.history) <= most
@@ -357,7 +376,7 @@ class TestSolveCapacity:
          (12.0, 13, 1.912608933896204, [7, 9, 11, 13])],
         ids=["A8", "A12"],
     )
-    def test_one_warm_started_slsqp_per_level(self, monkeypatch, A, K, C, ladder):
+    def test_one_warm_started_newton_run_per_level(self, monkeypatch, A, K, C, ladder):
         import acawgn.solver as solver
 
         calls = []   # (K, init, solved input) per solve_fixed_k call
@@ -457,7 +476,7 @@ class TestEqualizationByQuadpack:
     def test_every_atom_is_equalized_to_1e10(self, A):
         # i(x_j) by QUADPACK, not by the trapezoid sums of the solve: the
         # optimizer's stationary point holds i(x_j) = C on the support to
-        # about 1e-13 (SLSQP stopped 2e-8 away at A = 8)
+        # about 1e-13
         from oracles import log_mixture_pdf, phi, quad_oracle
 
         rep = solve_capacity(A)
