@@ -15,7 +15,8 @@ Scans are deterministic at a fixed BLAS thread count, as solves are (see
 ``acawgn.solver``), and solve the amplitudes in grid order, with
 continuation in A: each row's solve starts from the previous row's
 certified input, its atoms scaled to the new amplitude (``solve_capacity``'s
-``start``).  The first row, and a row after an ``error`` or ``unconverged``
+``start``), unless the walk's first level there, set by the ripple law, has
+more pairs.  The first row, and a row after an ``error`` or ``unconverged``
 one, is solved cold.
 """
 

@@ -9,7 +9,8 @@ size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
   symmetric input, a centre weight and K // 2 pairs: locations in [0, A],
   nonnegative weights summing to one;
 - support escalation (``solve_capacity``): starting at the odd ceiling of
-  the square-root support lower bound, raise K by 2 until the
+  the square-root support lower bound, or at the ripple law's level
+  (``SolveConfig.max_k_for``) if higher, raise K by 2 until the
   equalization/dominance residuals of the KKT scan pass the declared
   epsilon.  Each level is one ``solve_fixed_k`` call warm-started from the
   previous level's input, with a zero-weight pair inserted where the scan
@@ -18,9 +19,9 @@ size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
 - continuation in A (``solve_capacity(..., start=...)``): the first level
   may instead be warm-started from an input solved at another amplitude,
   its atoms scaled to the new one, at the first odd K no smaller than that
-  input's support (an even input starts with an empty centre).  A first
-  level with more pairs than that input has starts cold.  Scans pass each
-  certified row on to the next.
+  input's support or the cold first level (an even input starts with an
+  empty centre).  A first level with more pairs than that input has starts
+  cold.  Scans pass each certified row on to the next.
 
 Every level is odd, and its centre's weight may go to 0 (an even support).
 An even ``max_k`` below the first odd level runs with the centre held empty.
@@ -71,6 +72,11 @@ _GAIN_TOL = 1e-15
 _MAX_STEPS = 200
 _ARMIJO = 1e-4
 _TR_ROUNDS = 20
+# The walk starts at the ripple law's level (see SolveConfig.max_k_for) only
+# when kkt_eps >= _RIPPLE_START_EPS.  Below it the optimum's flat ridges make
+# the walk's result depend on its path: on the grid 1:40:1 a start at that
+# level changed K or convergence on 3 rows at 1e-8 and 10 rows at 1e-10.
+_RIPPLE_START_EPS = 1e-6
 
 
 def dytso_lower_bound(A: float) -> float:
@@ -102,7 +108,8 @@ class SolveConfig:
         the walk ends where the ripple of its bulk comb (spacing d) drops
         below eps: r_global is about 4 exp(-4 pi^2 / d^2), so K/A tends to
         sqrt(ln(4/eps))/pi, 1.241 at eps = 1e-6.  That K is an eps-optimal
-        input's, not the optimum's (23 against 25 at A = 20).
+        input's, not the optimum's (23 against 25 at A = 20).  For eps >=
+        1e-6, ``solve_capacity`` starts its walk there.
         """
         if self.max_k is not None:
             return self.max_k
@@ -412,7 +419,10 @@ def solve_capacity(
     Runs one ``solve_fixed_k`` per level K = K0, K0+2, ... <= the cap
     (``SolveConfig.max_k_for``) until both KKT residuals pass
     ``config.kkt_eps``.  K0 is the first odd K at or above the ceiling of
-    ``dytso_lower_bound(A)`` and ``start.k``, capped at the cap.  Without
+    ``dytso_lower_bound(A)``, ``start.k`` and R, capped at the cap.  R, the
+    level the walk would climb to from the bound, is the largest odd K <=
+    2A/d for the comb spacing d = 2 pi/sqrt(ln(4/eps)) whose ripple is eps
+    (``SolveConfig.max_k_for``), or 1 below eps = 1e-6.  Without
     ``start`` the first level starts from equispaced atoms.  With ``start``,
     an input solved at another amplitude (continuation in A), the first
     level starts from ``start``'s atoms scaled by ``A / start.A`` when they
@@ -428,6 +438,11 @@ def solve_capacity(
     max_k = cfg.max_k_for(A)
     t0 = time.perf_counter()
     k0 = max(1, math.ceil(dytso_lower_bound(A) - 1e-12))
+    if cfg.kkt_eps >= _RIPPLE_START_EPS:
+        # R: 2A/d = A sqrt(ln(4/eps))/pi, rounded down to an odd K; any comb
+        # passes an eps >= 4
+        ripple = int(A * math.sqrt(max(math.log(4.0 / cfg.kkt_eps), 0.0)) / math.pi)
+        k0 = max(k0, ripple - 1 + ripple % 2)
     history: list[EscalationStep] = []
     best = None   # (pi, info, r_s, r_g) of the level reported
     pi: DiscreteInput | None = None

@@ -59,7 +59,8 @@ def blahut_arimoto_capacity(
 
     Inputs live on ``n_inputs`` equispaced points of [-A, A]; the output is
     quantized to bins of width ``y_step`` over [-A-10, A+10].  Iterates the
-    multiplicative update until the capacity estimate's relative change per
+    over-relaxed multiplicative update r <- r exp(2 (D - max D)) (Matz &
+    Duhamel, ITW 2004) until the capacity estimate's relative change per
     iteration drops below ``rel_change_tol``; the final duality gap
     max_x D(x) - I (a rigorous upper bound on the remaining suboptimality on
     the grid) is reported alongside.  Grid points whose mass decays below
@@ -100,7 +101,9 @@ def blahut_arimoto_capacity(
         if gap <= 1e-12 or abs(info - prev_info) <= rel_change_tol * max(abs(info), 1e-12):
             break
         prev_info = info
-        ra = ra * np.exp(d - d.max())
+        # factor 1 is the plain update; at A = 3, 2 stops after 9791
+        # iterations instead of 13 843, and 4 diverges
+        ra = ra * np.exp(2.0 * (d - d.max()))
         ra = ra / ra.sum()
         r[:] = 0.0
         r[active] = ra

@@ -171,8 +171,10 @@ BENCH_GRID = tuple(0.25 * k for k in range(1, 21))
 
 
 def _cold_k0(A):
+    # the larger of the odd Dytso ceiling and the ripple law's level at eps = 1e-6
     k0 = math.ceil(dytso_lower_bound(A) - 1e-12)
-    return k0 + 1 if k0 % 2 == 0 else k0
+    ripple = int(A * math.sqrt(math.log(4e6)) / math.pi)
+    return max(k0 + 1 - k0 % 2, ripple - 1 + ripple % 2)
 
 
 class TestContinuation:
@@ -187,11 +189,13 @@ class TestContinuation:
             assert rep.k == cold.k
             assert abs(rep.capacity_nats - cold.capacity_nats) <= 1e-12
 
-    @pytest.mark.parametrize("pair", [(21.0, 22.0), (24.0, 25.0)], ids=["A22", "A25"])
+    @pytest.mark.parametrize("pair", [(22.0, 23.0), (32.0, 33.0)], ids=["A23", "A33"])
     def test_large_amplitude_rows_agree_within_the_certificate(self, pair):
         # Two eps-certified inputs could differ in I by up to their r_global,
         # but warm and cold rows reach the same input: over the grid 1:40:1
-        # their C agree to 1.3e-15.
+        # their C agree to 8.9e-16.  In these pairs the first row's K is the
+        # second row's ripple level, so the second row starts warm (at A = 33
+        # it then climbs a level).
         _, reports = scan_detailed(pair)
         warm, cold = reports[1], solve_capacity(pair[1])
         assert warm.converged and cold.converged
@@ -206,11 +210,14 @@ class TestContinuation:
         scan_mod = importlib.import_module("acawgn.scan")
         real = scan_mod.solve_capacity
 
+        starts = []
+
         def fake(A, config=None, *, start=None):
+            starts.append(start)
             return fake_row(real, A, config, start)
 
         monkeypatch.setattr(scan_mod, "solve_capacity", fake)
-        return scan_detailed([4.0, 4.2, 4.5])
+        return (*scan_detailed([4.0, 4.2, 4.5]), starts)
 
     def test_row_after_error_starts_cold(self, monkeypatch):
         def fake_row(real, A, config, start):
@@ -218,10 +225,10 @@ class TestContinuation:
                 raise QuadratureNonConvergence(np.array([1.0]), np.array([1e-3]))
             return real(A, config, start=start)
 
-        records, reports = self._patched_scan(monkeypatch, fake_row)
+        records, reports, starts = self._patched_scan(monkeypatch, fake_row)
         assert [r.status for r in records] == ["ok", "error", "ok"]
-        assert reports[0].k > _cold_k0(4.5)
-        assert reports[2].history[0].k_tried == _cold_k0(4.5)
+        assert starts[1] is reports[0].input and starts[2] is None
+        assert reports[2].history[0].k_tried == _cold_k0(4.5) == 5
 
     def test_row_after_unconverged_starts_cold(self, monkeypatch):
         from dataclasses import replace
@@ -230,11 +237,11 @@ class TestContinuation:
             report = real(A, config, start=start)
             return replace(report, converged=False) if A == 4.2 else report
 
-        records, reports = self._patched_scan(monkeypatch, fake_row)
+        records, reports, starts = self._patched_scan(monkeypatch, fake_row)
         assert [r.status for r in records] == ["ok", "unconverged", "ok"]
+        assert starts[1] is reports[0].input and starts[2] is None
         assert reports[1].history[0].k_tried == 5   # odd, above A = 4's K = 4
-        assert reports[1].k > _cold_k0(4.5)
-        assert reports[2].history[0].k_tried == _cold_k0(4.5)
+        assert reports[2].history[0].k_tried == _cold_k0(4.5) == 5
 
 
 class TestNoAdaptiveQuadrature:
