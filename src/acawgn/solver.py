@@ -4,10 +4,11 @@ Computes, for an amplitude ``A``, the optimal discrete input, its support
 size, and the channel capacity ``C(A) = sup I(X;Y)`` over inputs with
 ``|X| <= A``.  Strategy:
 
-- fixed-support optimization (``solve_fixed_k``): one active-set Newton run
-  with the exact Hessian (``_pg_maximize``) over the nonnegative half of a
-  symmetric input, a centre weight and K // 2 pairs: locations in [0, A],
-  nonnegative weights summing to one;
+- fixed-support optimization (``solve_fixed_k``): one active-set
+  trust-region Newton run with the exact Hessian (``_pg_maximize``), every
+  step judged by one ratio test, over the nonnegative half of a symmetric
+  input, a centre weight and K // 2 pairs: locations in [0, A], nonnegative
+  weights summing to one;
 - support escalation (``solve_capacity``): starting at the odd ceiling of
   the square-root support lower bound, or at the ripple law's level
   (``SolveConfig.max_k_for``) if higher, raise K by 2 until the
@@ -64,13 +65,14 @@ __all__ = [
 # The fixed-K Newton method (``_pg_maximize``) has converged once every entry
 # of the reduced gradient is at most _GRAD_TOL.  It cannot judge a gain of
 # _GAIN_TOL: I is about 1 to 4 nats, and its rounding was measured to fail
-# Armijo tests of gains near 1e-16.  It takes at most _MAX_STEPS steps, and
-# its line search asks for _ARMIJO of the linear gain.  _TR_ROUNDS caps the
-# rounds that fit a trust-region step to the radius.
+# step tests of gains near 1e-16.  It takes at most _MAX_STEPS steps, and
+# keeps a step that gains _ACCEPT of its model's gain: the threshold 0.1
+# moved a flat-ridge row at eps = 1e-8 (A = 18, K = 22 to 23).  _TR_ROUNDS
+# caps the rounds that fit a step to the trust radius.
 _GRAD_TOL = 1e-12
 _GAIN_TOL = 1e-15
 _MAX_STEPS = 200
-_ARMIJO = 1e-4
+_ACCEPT = 1e-4
 _TR_ROUNDS = 20
 # The walk starts at the ripple law's level (see SolveConfig.max_k_for) only
 # when kkt_eps >= _RIPPLE_START_EPS.  Below it the optimum's flat ridges make
@@ -205,11 +207,12 @@ def _initial_param(A: float, K: int) -> _Param:
 
 
 def _param_from_atoms(A: float, K: int, locs, ws, prefer: float | None = None) -> _Param | None:
-    """Symmetric atoms' nonnegative half as a start at level K; None if it does not fill K.
+    """Symmetric atoms' nonnegative half as a start at level K.
 
     Room for one more pair takes a zero-weight pair at +-``prefer``, where the
     previous level's KKT scan found i(x) > I, so the first step can ascend
-    there.  Only an odd K lets the centre's weight leave 0.
+    there.  Only an odd K keeps the centre's weight; an even K holds it at 0.
+    None if the atoms do not fill K or K keeps none of their weight.
     """
     x, vp = locs[locs > 1e-12], ws[locs > 1e-12]
     if prefer is not None and x.size < K // 2:
@@ -217,8 +220,8 @@ def _param_from_atoms(A: float, K: int, locs, ws, prefer: float | None = None) -
     if x.size != K // 2:
         return None
     order = np.argsort(x)
-    v = np.concatenate([[ws[np.abs(locs) <= 1e-12].sum()], vp[order]])
-    return _Param(A, x[order], v, math.inf if K % 2 else 0.0)
+    v = np.concatenate([[ws[np.abs(locs) <= 1e-12].sum() if K % 2 else 0.0], vp[order]])
+    return _Param(A, x[order], v, math.inf if K % 2 else 0.0) if v.any() else None
 
 
 def _objective(p: _Param) -> tuple[float, np.ndarray, np.ndarray]:
@@ -265,25 +268,25 @@ def _free_basis(free: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
 
 
 def _pg_maximize(param: _Param, status: list) -> tuple[_Param, float, bool, int]:
-    """Maximize I over ``param``'s coordinates by an active-set Newton method.
+    """Maximize I over ``param``'s coordinates by an active-set trust-region Newton method.
 
-    Weights are clipped to ``upper()`` and rescaled onto ``weight_constraint()
-    . v = 1``.  Each step fixes the coordinates on a bound whose gradient (a
-    weight's, less its least-squares multiple of c) points out and zero-weight
-    pairs' locations, and reduces ``_objective``'s derivatives to
-    ``_free_basis``: Newton with Armijo backtracking where the reduced Hessian
-    is negative definite, else a trust-region step -(H - mu)^-1 g,
-    mu > lambda_max (Nocedal & Wright, Numerical Optimization, 2006, ch. 4
-    and 16).  Stops "converged" (reduced gradient within _GRAD_TOL), "model
-    gain below rounding", "line search failed", "trust region failed" or
-    "iteration cap", and appends (cause, evaluations) to ``status``.  Returns
-    the tracer's (param, I, converged, steps).
+    Weights are rescaled onto ``weight_constraint() . v = 1``.  Each step
+    fixes the coordinates on a bound whose gradient (a weight's, less its
+    least-squares multiple of c) points out and zero-weight pairs' locations,
+    and reduces ``_objective``'s derivatives to ``_free_basis``.  Every step
+    is d = (mu - H)^-1 g with mu = max(lambda_max, 0) + sigma: Newton's
+    (sigma = 0) where H is negative definite and that step fits the radius,
+    else the sigma that fits |d| to it (Nocedal & Wright, Numerical
+    Optimization, 2006, ch. 4 and 16).  A trial is kept when it gains
+    _ACCEPT of its model's gain.  Stops "converged" (reduced gradient within
+    _GRAD_TOL), "model gain below rounding", "trust region failed" or
+    "iteration cap", and appends (cause, evaluations) to ``status``.
+    Returns the tracer's (param, I, converged, steps).
     """
     m, c, hi = param.x.size, param.weight_constraint(), param.upper()
-    v = np.minimum(param.v, hi[m:])
-    z = np.clip(np.concatenate([param.x, v / (c @ v)]), 0.0, hi)
+    z = np.clip(np.concatenate([param.x, param.v / (c @ param.v)]), 0.0, hi)
     info, g, hess = _objective(param.with_coords(z))
-    evals, steps, radius, fresh, blind, key = 1, 0, 1.0, True, False, None
+    evals, steps, radius, kept, key = 1, 0, 1.0, True, None
     cause = "iteration cap"
     while steps < _MAX_STEPS:
         # A pair on 0 joins the centre and stays there.  A pair on A, or a
@@ -304,17 +307,18 @@ def _pg_maximize(param: _Param, status: list) -> tuple[_Param, float, bool, int]
             hr = basis.T @ hess @ basis
             lam, q = np.linalg.eigh(hr)
             qg = q.T @ gr
-            newton = not lam.size or lam[-1] < 0.0
-            shift = -lam
+            shift = -lam   # sigma = 0: Newton's step, where it fits the radius
+            newton = not lam.size or (lam[-1] < 0.0
+                                      and math.sqrt(qg @ (qg / (lam * lam))) <= radius)
             if not newton:
-                # mu = lam[-1] + sigma with |d| within 10% of the radius, by
-                # Newton's method on 1/|d(sigma)| from a sigma with
-                # |d| <= radius (Moré & Sorensen, SIAM J. Sci. Stat. Comput.
-                # 4(3), 1983).  sigma + (lam[-1] - lam) >= sigma > 0 keeps d
-                # finite however large lam[-1] is.
-                sigma = math.sqrt(qg @ qg) / radius
+                # mu = max(lam[-1], 0) + sigma with |d| within 10% of the
+                # radius, by Newton's method on 1/|d(sigma)| from a sigma
+                # with |d| <= radius (Moré & Sorensen, SIAM J. Sci. Stat.
+                # Comput. 4(3), 1983).  shift >= sigma > 0 keeps d finite
+                # however large lam[-1] is.
+                top, sigma = max(lam[-1], 0.0), math.sqrt(qg @ qg) / radius
                 for _ in range(_TR_ROUNDS):
-                    shift = sigma + (lam[-1] - lam)
+                    shift = sigma + (top - lam)
                     coef = qg / shift
                     norm = math.sqrt(coef @ coef)
                     if abs(norm - radius) <= 0.1 * radius:
@@ -334,41 +338,28 @@ def _pg_maximize(param: _Param, status: list) -> tuple[_Param, float, bool, int]
             key, basis = fixed.tobytes(), _free_basis(~fixed, c, m)
             gr = basis.T @ g
 
-        t, slope, curv = min(1.0, rmin), float(gr @ d), float(d @ hr @ d)
-        while True:
-            gain = t * slope + 0.5 * t * t * curv
-            cut = t == rmin
-            # I cannot judge a gain below rounding.  A cut step is still taken,
-            # since it only puts a coordinate on its bound, and so is a full
-            # Newton step, though not twice in a row: it takes a reduced
-            # gradient of about 1e-9 to below _GRAD_TOL.
-            unjudged = gain <= _GAIN_TOL
-            if unjudged and not cut and not (newton and fresh and not blind):
-                cause = ("model gain below rounding" if fresh else
-                         "line search failed" if newton else "trust region failed")
-                break
-            z_new = z + t * dz
-            if cut:
-                hit = reach == t
-                z_new[hit] = np.where(dz[hit] < 0.0, 0.0, hi[hit])
-            trial, evals = _objective(param.with_coords(z_new)), evals + 1
-            gained = trial[0] - info
-            if not newton:
-                length = t * math.sqrt(d @ d)
-                if gained < 0.25 * gain:
-                    radius = 0.25 * length
-                elif gained > 0.75 * gain and length >= 0.99 * radius:
-                    radius *= 2.0
-                fresh = unjudged or gained >= 0.1 * gain
-                break
-            fresh = unjudged or gained >= _ARMIJO * t * slope
-            if fresh:
-                break
-            t *= 0.5
-        if cause != "iteration cap":
+        t = min(1.0, rmin)
+        gain, cut = t * float(gr @ d) + 0.5 * t * t * float(d @ hr @ d), t == rmin
+        # I cannot judge a gain below rounding.  A cut step is still taken,
+        # since it only puts a coordinate on its bound, and so is an interior
+        # Newton step after a kept one: it takes a reduced gradient of about
+        # 1e-9 to below _GRAD_TOL.
+        unjudged = gain <= _GAIN_TOL
+        if unjudged and not cut and not (newton and kept):
+            cause = "model gain below rounding" if kept else "trust region failed"
             break
-        if fresh:
-            blind = unjudged and not cut
+        z_new = z + t * dz
+        if cut:
+            hit = reach == t
+            z_new[hit] = np.where(dz[hit] < 0.0, 0.0, hi[hit])
+        trial, evals = _objective(param.with_coords(z_new)), evals + 1
+        gained, length = trial[0] - info, t * math.sqrt(d @ d)
+        if gained < 0.25 * gain:
+            radius = 0.25 * length
+        elif gained > 0.75 * gain and length >= 0.99 * radius:
+            radius *= 2.0
+        kept = unjudged or gained >= _ACCEPT * gain
+        if kept:
             z = z_new
             info, g, hess = trial
             steps += 1
